@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use fsp_inject::{CampaignObserver, Experiment, WeightedSite};
@@ -121,30 +122,29 @@ impl CampaignObserver for LeaseObserver<'_> {
     }
 }
 
-/// Prepared experiments, one per kernel the worker has seen.
+/// The prepared experiment for `kernel`, from a process-wide cache.
 ///
 /// [`Experiment`] borrows its workload, so cache entries are leaked to
-/// `'static`; the registry is small (17 kernels) and a worker process
-/// prepares each at most once, so the leak is bounded and intentional.
-#[derive(Default)]
-struct ExperimentCache {
-    entries: BTreeMap<String, &'static Experiment<'static, Workload>>,
-}
-
-impl ExperimentCache {
-    fn get(&mut self, kernel: &str) -> Result<&'static Experiment<'static, Workload>, String> {
-        if let Some(exp) = self.entries.get(kernel) {
-            return Ok(exp);
-        }
-        let workload = fsp_workloads::by_id(kernel, Scale::Eval)
-            .ok_or_else(|| format!("lease names unknown kernel `{kernel}`"))?;
-        let workload: &'static Workload = Box::leak(Box::new(workload));
-        let experiment =
-            Experiment::prepare(workload).map_err(|e| format!("preparing `{kernel}`: {e}"))?;
-        let experiment: &'static Experiment<'static, Workload> = Box::leak(Box::new(experiment));
-        self.entries.insert(kernel.to_owned(), experiment);
-        Ok(experiment)
+/// `'static`. Every worker loop in the process shares the cache, and a
+/// kernel is prepared at most once (under the lock, so concurrent workers
+/// wait for the first preparation instead of repeating it): the leak is
+/// bounded by the registry size (17 kernels), however many workers or
+/// fleet jobs the process runs.
+fn prepared(kernel: &str) -> Result<&'static Experiment<'static, Workload>, String> {
+    type Cache = BTreeMap<String, &'static Experiment<'static, Workload>>;
+    static CACHE: Mutex<Cache> = Mutex::new(BTreeMap::new());
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(exp) = cache.get(kernel) {
+        return Ok(exp);
     }
+    let workload = fsp_workloads::by_id(kernel, Scale::Eval)
+        .ok_or_else(|| format!("lease names unknown kernel `{kernel}`"))?;
+    let workload: &'static Workload = Box::leak(Box::new(workload));
+    let experiment =
+        Experiment::prepare(workload).map_err(|e| format!("preparing `{kernel}`: {e}"))?;
+    let experiment: &'static Experiment<'static, Workload> = Box::leak(Box::new(experiment));
+    cache.insert(kernel.to_owned(), experiment);
+    Ok(experiment)
 }
 
 /// Runs the worker loop until the fleet drains (`exit_when_idle`), `stop`
@@ -159,7 +159,6 @@ impl ExperimentCache {
 /// budget. Lease races, stolen leases and duplicate submissions are
 /// handled silently — they are normal fleet weather.
 pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSummary, String> {
-    let mut cache = ExperimentCache::default();
     let mut summary = WorkerSummary::default();
     let seed = crate::wire::frame_fnv(config.name.as_bytes());
     let mut poll = Backoff::poll(seed);
@@ -206,7 +205,7 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
             summary.abandoned = true;
             return Ok(summary);
         }
-        if execute_lease(config, &mut cache, &grant, grant_received_ns, stop)? {
+        if execute_lease(config, &grant, grant_received_ns, stop)? {
             summary.chunks += 1;
             summary.sites += grant.sites.len();
         }
@@ -219,13 +218,12 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
 /// stopped; the chunk will be re-served).
 fn execute_lease(
     config: &WorkerConfig,
-    cache: &mut ExperimentCache,
     grant: &Grant,
     grant_received_ns: u64,
     stop: &AtomicBool,
 ) -> Result<bool, String> {
     let lease_span = fsp_obs::span_labeled("worker.lease", grant.lease.clone());
-    let experiment = cache.get(&grant.kernel)?;
+    let experiment = prepared(&grant.kernel)?;
     let local_fp = experiment.target().fingerprint();
     if local_fp != grant.fingerprint {
         return Err(format!(

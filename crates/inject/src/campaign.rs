@@ -86,11 +86,13 @@ impl CampaignObserver for NopObserver {}
 /// run observed across all 17 kernels retires 2.08x the fault-free count
 /// (a corrupted LUD loop bound that doubles one thread's trip count), and
 /// every other kernel stays below 1.15x — so a 4x budget keeps roughly a
-/// 2x margin over the worst finite run while quartering the cost of the
-/// runs that genuinely never terminate (corrupted induction variables
-/// whose state never recurs, which must burn the whole budget in both the
-/// fast and slow paths). The [`MIN_BUDGET`] floor below protects tiny
-/// kernels where a multiplicative margin is meaningless.
+/// 2x margin over the worst finite run. The budget defines a hang, but the
+/// fast path rarely pays it: when a corrupted induction variable leaves a
+/// lone thread circling a loop whose exit compare provably cannot flip
+/// within the remaining budget, the simulator's spin detector cuts the run
+/// short with the same verdict (DESIGN.md §10). The slow path runs every
+/// hang out and so checks each prediction. The [`MIN_BUDGET`] floor below
+/// protects tiny kernels where a multiplicative margin is meaningless.
 const HANG_FACTOR: u64 = 4;
 /// Floor for the hang budget, so tiny kernels still tolerate benign
 /// control-flow perturbations.
@@ -98,10 +100,10 @@ const HANG_FACTOR: u64 = 4;
 /// Calibrated like [`HANG_FACTOR`]: the floor only governs kernels whose
 /// fault-free count is below 5k instructions, and the longest finite
 /// injected run observed on any of those retires ~4.5k instructions —
-/// a 4.5x margin. Hang runs burn the whole budget in both paths, so an
-/// over-generous floor (the previous 100k was 46x the fault-free count of
-/// the smallest LUD kernel) dominates small-kernel campaign time for no
-/// classification benefit.
+/// a 4.5x margin. Hangs the spin detector cannot certify burn the whole
+/// budget, so an over-generous floor (the previous 100k was 46x the
+/// fault-free count of the smallest LUD kernel) dominates small-kernel
+/// campaign time for no classification benefit.
 const MIN_BUDGET: u64 = 20_000;
 
 /// Stable hash of the outcome-classifier parameters (the hang budget
@@ -341,6 +343,9 @@ pub struct Experiment<'a, T: InjectionTarget> {
     /// `None`).
     global_writers: GlobalWriteProfile,
     fast_path: bool,
+    /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
+    /// simulator proved hung and cut short.
+    hangs_predicted: fsp_obs::Counter,
     /// Shadow lanes per batched replay (see [`Experiment::set_batch`]);
     /// `1` disables batching entirely.
     batch: usize,
@@ -417,6 +422,11 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let golden = memory.read_words(addr, len);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
         let golden_trace = golden_rec.map(GoldenRecorder::finish);
+        let hangs_predicted = fsp_obs::registry().counter_labeled(
+            "fsp_inject_hang_predicted_total",
+            &[("kernel", launch.program().name())],
+            "Fast-path injected runs proved hung and cut short, by kernel.",
+        );
         let global_writers = golden_trace
             .as_ref()
             .map(|t| t.global_write_profile(launch.threads_per_cta()))
@@ -433,6 +443,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             golden_trace,
             global_writers,
             fast_path: true,
+            hangs_predicted,
             batch: DEFAULT_BATCH,
         })
     }
@@ -447,6 +458,14 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn fault_free_instructions(&self) -> u64 {
         self.fault_free_instructions
+    }
+
+    /// Fast-path injected runs of this kernel, process-wide, that the
+    /// simulator proved hung and cut short instead of running out their
+    /// budget (the `fsp_inject_hang_predicted_total` series).
+    #[must_use]
+    pub fn hangs_predicted(&self) -> u64 {
+        self.hangs_predicted.get()
     }
 
     /// The golden output words.
@@ -630,6 +649,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
             };
             bailed = hook.bailed();
+            if hook.hang_predicted() {
+                self.hangs_predicted.inc();
+            }
             match run {
                 Ok(stats) => {
                     meta.executed = stats.instructions;

@@ -130,6 +130,8 @@ pub struct FastInjectionHook<'a> {
     per_thread: Vec<u32>,
     /// Count of divergent shared + global words.
     shared_global: u32,
+    /// The simulator cut the run short on a hang certificate.
+    hang_predicted: bool,
 }
 
 impl<'a> FastInjectionHook<'a> {
@@ -161,6 +163,7 @@ impl<'a> FastInjectionHook<'a> {
             sg_addrs: Vec::new(),
             per_thread: vec![0; golden.num_threads() as usize],
             shared_global: 0,
+            hang_predicted: false,
         }
     }
 
@@ -175,6 +178,13 @@ impl<'a> FastInjectionHook<'a> {
     #[must_use]
     pub fn bailed(&self) -> bool {
         self.bailed
+    }
+
+    /// Whether the simulator proved the run a hang and cut it short
+    /// instead of spending the rest of its budget.
+    #[must_use]
+    pub fn hang_predicted(&self) -> bool {
+        self.hang_predicted
     }
 
     /// Whether `tid` needs full value comparison: only threads holding
@@ -315,6 +325,14 @@ impl<'a> FastInjectionHook<'a> {
 }
 
 impl ExecHook for FastInjectionHook<'_> {
+    // A predicted hang ends the run exactly where budget exhaustion would
+    // have: the oracle for it is the slow path, which runs the budget out.
+    const PREDICT_HANGS: bool = true;
+
+    fn on_hang_predicted(&mut self) {
+        self.hang_predicted = true;
+    }
+
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
         let before = self.inner.triggered();
         let out = self.inner.writeback(wb);

@@ -76,6 +76,15 @@ pub struct Writeback {
 /// `on_guard_fail` instead, so divergence trackers can tell whether a
 /// corrupted predicate steered control flow.
 pub trait ExecHook {
+    /// Whether the thread-serial schedule may cut a run short on an
+    /// *affine* hang certificate (see the spin detector in
+    /// `machine.rs`): a loop whose changing registers are counters
+    /// stepping by constants that provably cannot reach any compare's
+    /// flip point within the remaining budget. Off by default, so
+    /// hook-free runs and the slow injection path keep the exact-recurrence
+    /// rule only and serve as the oracle for the prediction.
+    const PREDICT_HANGS: bool = false;
+
     /// Called after an instruction retires (all write-backs committed).
     #[inline]
     fn on_retire(&mut self, _ev: RetireEvent<'_>) {}
@@ -102,6 +111,12 @@ pub trait ExecHook {
     fn converged(&self) -> bool {
         false
     }
+
+    /// Called when the spin detector proves the run can never finish and
+    /// aborts it with [`crate::SimFault::BudgetExceeded`] before the budget
+    /// is spent.
+    #[inline]
+    fn on_hang_predicted(&mut self) {}
 }
 
 /// The do-nothing hook (fault-free, untraced execution).
@@ -111,6 +126,8 @@ pub struct NopHook;
 impl ExecHook for NopHook {}
 
 impl<H: ExecHook + ?Sized> ExecHook for &mut H {
+    const PREDICT_HANGS: bool = H::PREDICT_HANGS;
+
     #[inline]
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         (**self).on_retire(ev);
@@ -129,5 +146,10 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     #[inline]
     fn converged(&self) -> bool {
         (**self).converged()
+    }
+
+    #[inline]
+    fn on_hang_predicted(&mut self) {
+        (**self).on_hang_predicted();
     }
 }

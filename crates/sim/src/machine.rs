@@ -475,9 +475,11 @@ impl Simulator {
     ///
     /// Each thread's quantum is watched by a [`SpinDetector`]: under the
     /// serial schedule a quantum has exclusive access to the machine, so a
-    /// provably periodic thread (architectural state recurs with no stores
-    /// in between) is aborted as [`SimFault::BudgetExceeded`] without
-    /// grinding through the remaining budget.
+    /// provably non-terminating thread (state recurs exactly, or — under a
+    /// hook with [`ExecHook::PREDICT_HANGS`] — up to counters that cannot
+    /// reach their exit compare, with no stores in between) is aborted as
+    /// [`SimFault::BudgetExceeded`] without grinding through the remaining
+    /// budget.
     #[allow(clippy::too_many_arguments)]
     fn run_cta<H: ExecHook>(
         &self,
@@ -496,9 +498,16 @@ impl Simulator {
             accesses: AccessLog::default(),
             srcs: SrcLog::default(),
         };
+        // Live (not yet exited) threads: the detector may only persist
+        // across barriers once the watched thread is the last one.
+        let mut live = threads
+            .iter()
+            .filter(|t| t.status != ThreadStatus::Done)
+            .count();
+        let mut spin = SpinDetector::new();
         loop {
             let mut all_done = true;
-            for thread in threads.iter_mut() {
+            for (i, thread) in threads.iter_mut().enumerate() {
                 if thread.status != ThreadStatus::Ready {
                     if thread.status == ThreadStatus::AtBarrier {
                         all_done = false;
@@ -506,7 +515,7 @@ impl Simulator {
                     continue;
                 }
                 // Run this thread until it blocks, exits or faults.
-                let mut spin = SpinDetector::new();
+                spin.enter(i, live == 1, H::PREDICT_HANGS);
                 loop {
                     let effect = step(thread, &mut ctx, hook, budget)?;
                     if hook.converged() {
@@ -516,11 +525,19 @@ impl Simulator {
                         StepEffect::Continue => {}
                         StepEffect::Barrier => {
                             all_done = false;
+                            if spin.lone {
+                                // The barrier releases at once: the
+                                // thread's path runs on through it.
+                                spin.observe(program, thread, false, *budget, hook)?;
+                            }
                             break;
                         }
-                        StepEffect::Done => break,
+                        StepEffect::Done => {
+                            live -= 1;
+                            break;
+                        }
                     }
-                    spin.observe(thread, ctx.accesses.has_store())?;
+                    spin.observe(program, thread, ctx.accesses.has_store(), *budget, hook)?;
                 }
             }
             if all_done {
@@ -587,32 +604,54 @@ impl Simulator {
     }
 }
 
-/// Quantum step count a thread must exceed before spin detection arms.
+/// Step count a watched thread must exceed before spin detection arms.
 ///
-/// Legitimate quanta in the workload suite are orders of magnitude shorter
-/// (the longest *whole-thread* retirement stream across all evaluated
-/// kernels is 588 instructions, and a quantum is a slice of one), so below
-/// this threshold the detector costs one counter increment per step and
+/// Legitimate runs never get there: the longest *whole-thread* retirement
+/// stream across all evaluated kernels is 588 instructions, and a quantum
+/// (or a lone thread's run of quanta) is a slice of one. Below this
+/// threshold the detector costs one counter increment per step and
 /// nothing else. The threshold is a performance knob, not a soundness one:
 /// arming during a legitimate long quantum merely adds a cheap
-/// pc-first state comparison per step until the quantum ends.
-const SPIN_ARM_STEPS: u64 = 1 << 12;
+/// pc-first state comparison per step until the quantum ends, while every
+/// detected hang pays it once, so it sits just above the longest stream.
+const SPIN_ARM_STEPS: u64 = 1 << 10;
 
-/// Detects provably infinite loops inside a single thread quantum.
+/// Longest single-iteration path (in steps) the affine certificate
+/// records. Hang loops in the workload suite run a few dozen steps per
+/// iteration; a longer path falls back to the exact-recurrence rule.
+const SPIN_PATH_CAP: usize = 1 << 10;
+
+/// Detects provably infinite loops of a thread that has the machine to
+/// itself.
 ///
 /// Under the serial schedule a thread's quantum has exclusive access to
-/// global, shared and local memory — nothing else runs until it blocks. So
-/// if the thread's complete architectural state (`pc`, registers,
-/// predicates, offset registers) exactly recurs and *no store to any
-/// address space* happened in between, every load repeats its previous
-/// value and execution is periodic: the quantum can never end. Aborting
-/// with [`SimFault::BudgetExceeded`] at that point classifies the run
-/// exactly as budget exhaustion would, at a fraction of the cost.
+/// global, shared and local memory — nothing else runs until it blocks. A
+/// thread whose CTA siblings have all exited keeps that exclusivity across
+/// its barriers too (they release at once), so in affine mode
+/// ([`ExecHook::PREDICT_HANGS`]) such a *lone* thread's detector persists
+/// across quanta instead of resetting at every `bar.sync`.
+///
+/// Two rules abort the run with [`SimFault::BudgetExceeded`], classifying
+/// it exactly as budget exhaustion would at a fraction of the cost:
+///
+/// - **Exact recurrence** (all modes): the complete architectural state
+///   (`pc`, registers, predicates, offset registers) recurs with *no store
+///   to any address space* in between. Every load repeats its value, so
+///   execution is periodic and can never end.
+/// - **Affine recurrence** (affine mode only): `pc`, predicates and offset
+///   registers recur with no store in between, and the recorded path of
+///   that one iteration passes [`affine_certificate`]: the registers that
+///   changed (D) are counters written only by `add r, r, imm` and read only
+///   by that add and by integer `set` compares against a D-free operand,
+///   none of which can flip within the remaining budget. Every other
+///   value, address and branch on the path then repeats iteration 0's, so
+///   the same path (which did not fault) re-runs until the budget is gone.
+///   Exact recurrence is the D = ∅ case.
 ///
 /// `icnt` is deliberately excluded from the comparison: it increments every
 /// retirement but only feeds hook events, never execution semantics, and a
 /// fault-injection hook has necessarily already fired by the time a run
-/// diverges into a spin (the fault-free run has no over-length quanta).
+/// diverges into a spin (the fault-free run finishes within budget).
 ///
 /// Snapshots are taken at power-of-two step counts (Brent's cycle-finding
 /// schedule), so a period of any length is caught within a small constant
@@ -629,6 +668,15 @@ struct SpinDetector {
     /// the per-revisit scan into a single compare.
     hint: usize,
     snap: Option<Box<SpinSnapshot>>,
+    /// CTA-local index of the watched thread.
+    owner: usize,
+    /// Affine mode, and the watched thread was its CTA's last live thread
+    /// when the detector started: it persists across barriers.
+    lone: bool,
+    /// `(pc, icnt)` after each step since the snapshot, recorded in affine
+    /// mode up to the first revisit of the snapshot `pc` — one iteration.
+    path: Vec<(usize, u32)>,
+    recording: bool,
 }
 
 struct SpinSnapshot {
@@ -636,6 +684,7 @@ struct SpinSnapshot {
     ofs: [u32; 4],
     preds: [u8; 8],
     gprs: [u32; 128],
+    icnt: u32,
 }
 
 impl SpinDetector {
@@ -646,44 +695,356 @@ impl SpinDetector {
             clean: false,
             hint: 0,
             snap: None,
+            owner: usize::MAX,
+            lone: false,
+            path: Vec::new(),
+            recording: false,
         }
     }
 
-    /// Observes one retired (non-terminal) step of the watched thread.
+    /// Starts watching a quantum of thread `owner`; `lone` says whether
+    /// every other thread of its CTA is done. An affine-mode detector
+    /// already watching that lone thread carries on; any other start
+    /// resets it.
+    #[inline]
+    fn enter(&mut self, owner: usize, lone: bool, affine: bool) {
+        if self.lone && self.owner == owner {
+            return;
+        }
+        self.steps = 0;
+        self.next_snap = SPIN_ARM_STEPS;
+        self.clean = false;
+        self.snap = None;
+        self.recording = false;
+        self.owner = owner;
+        self.lone = affine && lone;
+    }
+
+    /// Observes one retired (non-terminal) step of the watched thread;
+    /// `budget` is the instruction budget left after it.
     ///
     /// `stored` is whether the step wrote memory; over-reporting is safe
     /// (it only delays detection), under-reporting would be unsound.
     #[inline]
-    fn observe(&mut self, thread: &ThreadState, stored: bool) -> Result<(), SimFault> {
+    fn observe<H: ExecHook>(
+        &mut self,
+        program: &fsp_isa::KernelProgram,
+        thread: &ThreadState,
+        stored: bool,
+        budget: u64,
+        hook: &mut H,
+    ) -> Result<(), SimFault> {
         self.steps += 1;
         if stored {
             self.clean = false;
         }
         if self.steps >= self.next_snap {
             self.next_snap *= 2;
-            self.snap = Some(Box::new(SpinSnapshot {
-                pc: thread.pc,
-                ofs: thread.ofs,
-                preds: thread.preds,
-                gprs: thread.gprs,
-            }));
-            self.clean = true;
-        } else if self.clean {
-            if let Some(s) = &self.snap {
-                if s.pc == thread.pc
-                    && s.gprs[self.hint] == thread.gprs[self.hint]
-                    && s.ofs == thread.ofs
-                    && s.preds == thread.preds
-                {
-                    match (0..s.gprs.len()).find(|&i| s.gprs[i] != thread.gprs[i]) {
-                        Some(i) => self.hint = i,
-                        None => return Err(SimFault::BudgetExceeded),
-                    }
-                }
-            }
+            self.snapshot(thread, H::PREDICT_HANGS);
+        } else if self.clean && self.revisit(program, thread, budget) {
+            hook.on_hang_predicted();
+            return Err(SimFault::BudgetExceeded);
         }
         Ok(())
     }
+
+    fn snapshot(&mut self, thread: &ThreadState, affine: bool) {
+        let snap = SpinSnapshot {
+            pc: thread.pc,
+            ofs: thread.ofs,
+            preds: thread.preds,
+            gprs: thread.gprs,
+            icnt: thread.icnt,
+        };
+        match &mut self.snap {
+            Some(s) => **s = snap,
+            None => self.snap = Some(Box::new(snap)),
+        }
+        self.clean = true;
+        self.recording = affine;
+        self.path.clear();
+        if affine {
+            self.path.push((thread.pc, thread.icnt));
+        }
+    }
+
+    /// One clean step after the snapshot: whether the thread provably
+    /// never finishes.
+    fn revisit(
+        &mut self,
+        program: &fsp_isa::KernelProgram,
+        thread: &ThreadState,
+        budget: u64,
+    ) -> bool {
+        if self.recording {
+            if self.path.len() < SPIN_PATH_CAP {
+                self.path.push((thread.pc, thread.icnt));
+            } else {
+                self.recording = false;
+            }
+        }
+        let Some(s) = self.snap.as_deref() else {
+            return false;
+        };
+        if s.pc != thread.pc || s.ofs != thread.ofs || s.preds != thread.preds {
+            return false;
+        }
+        if s.gprs[self.hint] == thread.gprs[self.hint] {
+            match (0..s.gprs.len()).find(|&i| s.gprs[i] != thread.gprs[i]) {
+                Some(i) => self.hint = i,
+                None => return true,
+            }
+        }
+        if self.recording {
+            self.recording = false;
+            return affine_certificate(program, s, thread, &self.path, budget);
+        }
+        false
+    }
+}
+
+/// Whether the recorded iteration `path` from snapshot `s` to `thread`'s
+/// current state (same `pc`, predicates and offset registers; no store on
+/// the way) certifies that the loop re-runs that path until `budget` more
+/// instructions are spent.
+///
+/// Each compare reading a changed register is checked for all iterations
+/// `k ≤ ⌈budget / path length⌉ + 1`, under the compare's own wrapping
+/// `u32` or `s32` order, so the certificate is exact, never heuristic.
+fn affine_certificate(
+    program: &fsp_isa::KernelProgram,
+    s: &SpinSnapshot,
+    thread: &ThreadState,
+    path: &[(usize, u32)],
+    budget: u64,
+) -> bool {
+    use fsp_isa::{Dest, Opcode, Operand, Register};
+    let mut d = 0u128;
+    for (i, (a, b)) in s.gprs.iter().zip(&thread.gprs).enumerate() {
+        if a != b {
+            d |= 1 << i;
+        }
+    }
+    let per_iteration = u64::from(thread.icnt.wrapping_sub(s.icnt));
+    if per_iteration == 0 {
+        return false;
+    }
+    let k_max = budget.div_ceil(per_iteration) + 1;
+    let in_d = |r: Register| matches!(r, Register::Gpr(n) if d >> n & 1 == 1);
+    let reads_d = |op: &Operand| match op {
+        Operand::Reg { reg, .. } => in_d(*reg),
+        Operand::Imm(_) => false,
+        Operand::Mem(m) => m.base.is_some_and(in_d),
+    };
+    // Counter values as iteration 0 reaches each instruction, and the
+    // registers written so far in it (whose mid-path values are unknown).
+    let mut cur = s.gprs;
+    let mut written = 0u128;
+    for w in path.windows(2) {
+        let (pc, icnt) = w[0];
+        if w[1].1 == icnt {
+            // Guard failed: nothing read, nothing written.
+            continue;
+        }
+        let instr = program.instr(pc);
+        if let Some((r, step)) = counter_step(instr) {
+            if d >> r & 1 == 1 {
+                cur[r] = cur[r].wrapping_add(step);
+                continue;
+            }
+        }
+        if instr.dests().any(|dst| match dst {
+            Dest::Reg(r) => in_d(*r),
+            Dest::Mem(m) => m.base.is_some_and(in_d),
+        }) {
+            return false;
+        }
+        let mut counter_compare = None;
+        if let (Opcode::Set, Some(a), Some(b)) = (instr.opcode, &instr.src[0], &instr.src[1]) {
+            let counter = |op: &Operand| match *op {
+                Operand::Reg {
+                    reg: Register::Gpr(n),
+                    half: None,
+                    neg: false,
+                } if d >> n & 1 == 1 => Some(usize::from(n)),
+                _ => None,
+            };
+            counter_compare = match (counter(a), counter(b)) {
+                (Some(r), None) if !reads_d(b) => Some((r, b, true)),
+                (None, Some(r)) if !reads_d(a) => Some((r, a, false)),
+                _ => None,
+            };
+        }
+        match counter_compare {
+            Some((r, fixed, counter_first)) => {
+                let Some(c) = fixed_value(fixed, instr.src_ty, s, thread, written) else {
+                    return false;
+                };
+                let step = thread.gprs[r].wrapping_sub(s.gprs[r]);
+                if !compare_holds(instr, counter_first, cur[r], c, step, k_max) {
+                    return false;
+                }
+            }
+            None if instr.sources().any(reads_d) => return false,
+            None => {}
+        }
+        for dst in instr.dests() {
+            if let Dest::Reg(Register::Gpr(n)) = dst {
+                written |= 1 << n;
+            }
+        }
+    }
+    (0..128).all(|i| d >> i & 1 == 0 || cur[i] == thread.gprs[i])
+}
+
+/// `add r, r, imm` on a 32-bit integer register: the register and its
+/// per-execution step.
+fn counter_step(instr: &fsp_isa::Instruction) -> Option<(usize, u32)> {
+    use fsp_isa::{Dest, Opcode, Operand, Register, ScalarType};
+    if instr.opcode != Opcode::Add
+        || !matches!(
+            instr.ty,
+            ScalarType::U32 | ScalarType::S32 | ScalarType::B32
+        )
+        || !matches!(instr.dst[1], None | Some(Dest::Reg(Register::Discard)))
+    {
+        return None;
+    }
+    let (
+        Some(Dest::Reg(Register::Gpr(n))),
+        Some(Operand::Reg {
+            reg,
+            half: None,
+            neg: false,
+        }),
+        Some(Operand::Imm(imm)),
+    ) = (instr.dst[0], instr.src[0], instr.src[1])
+    else {
+        return None;
+    };
+    (reg == Register::Gpr(n)).then_some((usize::from(n), imm))
+}
+
+/// The value of a compare's D-free operand, when it is known from the
+/// snapshot alone: an immediate, a special register, or a general-purpose
+/// register not yet written in the iteration.
+fn fixed_value(
+    op: &fsp_isa::Operand,
+    ty: fsp_isa::ScalarType,
+    s: &SpinSnapshot,
+    thread: &ThreadState,
+    written: u128,
+) -> Option<u32> {
+    use fsp_isa::{Operand, Register};
+    match *op {
+        Operand::Imm(v) => Some(v),
+        Operand::Reg { reg, half, neg } => {
+            let raw = match reg {
+                Register::Gpr(124) => 0,
+                Register::Gpr(n) if written >> n & 1 == 0 => s.gprs[usize::from(n)],
+                Register::Special(sp) => thread.coords.special(sp),
+                _ => return None,
+            };
+            Some(crate::exec::apply_half_neg(raw, half, neg, ty))
+        }
+        Operand::Mem(_) => None,
+    }
+}
+
+/// Whether the integer `set` `instr` keeps the result it gives at `k = 0`
+/// for every `k ≤ k_max`, when one operand is the counter
+/// `x_k = v0 + k·step` (wrapping; the first operand iff `counter_first`)
+/// and the other is the constant `c`.
+///
+/// Every integer compare's truth set is one arc of the `u32` circle (a
+/// signed order is the unsigned one rotated by 2³¹), so the question is
+/// whether the arithmetic sequence leaves the arc that holds `v0`. With a
+/// stride no longer than the opposite arc it cannot step over it, and the
+/// first exit follows from the distance to the arc's end; a one-point
+/// opposite arc (`eq`/`ne`) is solved exactly as a linear congruence;
+/// anything else is refused.
+fn compare_holds(
+    instr: &fsp_isa::Instruction,
+    counter_first: bool,
+    v0: u32,
+    c: u32,
+    step: u32,
+    k_max: u64,
+) -> bool {
+    use fsp_isa::{CmpOp, ScalarType};
+    const CIRCLE: u64 = 1 << 32;
+    let signed = match instr.src_ty {
+        ScalarType::U32 | ScalarType::B32 => false,
+        ScalarType::S32 => true,
+        _ => return false,
+    };
+    let Some(cmp) = instr.cmp else {
+        return false;
+    };
+    // Counter on the left: `c < x` is `x > c`.
+    let cmp = match (counter_first, cmp) {
+        (true, cmp) | (false, cmp @ (CmpOp::Eq | CmpOp::Ne)) => cmp,
+        (false, CmpOp::Lt) => CmpOp::Gt,
+        (false, CmpOp::Le) => CmpOp::Ge,
+        (false, CmpOp::Gt) => CmpOp::Lt,
+        (false, CmpOp::Ge) => CmpOp::Le,
+    };
+    let bias = if signed { 1u32 << 31 } else { 0 };
+    let (u, kc) = (v0 ^ bias, c ^ bias);
+    // The arc `[start, start + len)` where the compare (or, for the
+    // complementary `ne`/`ge`/`gt`, its negation) holds: the result flips
+    // exactly when the sequence crosses its boundary.
+    let (start, len) = match cmp {
+        CmpOp::Eq | CmpOp::Ne => (kc, 1),
+        CmpOp::Lt | CmpOp::Ge => (0, u64::from(kc)),
+        CmpOp::Le | CmpOp::Gt => (0, u64::from(kc) + 1),
+    };
+    if step == 0 || len == 0 || len == CIRCLE {
+        return true;
+    }
+    let off = u64::from(u.wrapping_sub(start));
+    // The arc holding the counter, and the distance from it to that arc's
+    // end in the direction of travel.
+    let (home_start, home_len) = if off < len {
+        (start, len)
+    } else {
+        (start.wrapping_add(len as u32), CIRCLE - len)
+    };
+    let off = u64::from(u.wrapping_sub(home_start));
+    let stride = i64::from(step as i32);
+    let distance = if stride > 0 { home_len - 1 - off } else { off };
+    let first_exit = distance / stride.unsigned_abs() + 1;
+    if first_exit > k_max {
+        return true;
+    }
+    let away_len = CIRCLE - home_len;
+    if stride.unsigned_abs() <= away_len {
+        return false;
+    }
+    if away_len != 1 {
+        return false;
+    }
+    let target = home_start.wrapping_add(home_len as u32);
+    first_hit(u, step, target).is_none_or(|k| k > k_max)
+}
+
+/// The least `k ≥ 1` with `u + k·step ≡ target (mod 2³²)`, if any.
+fn first_hit(u: u32, step: u32, target: u32) -> Option<u64> {
+    let gap = target.wrapping_sub(u);
+    let tz = step.trailing_zeros();
+    if tz >= 32 || gap.trailing_zeros() < tz {
+        return None;
+    }
+    // Solve (step / 2^tz)·k ≡ gap / 2^tz mod 2^(32 - tz) with the inverse
+    // of the odd factor (Newton's iteration doubles its correct bits).
+    let odd = step >> tz;
+    let mut inv = odd;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u32.wrapping_sub(odd.wrapping_mul(inv)));
+    }
+    let modulus = 1u64 << (32 - tz);
+    let k = u64::from((gap >> tz).wrapping_mul(inv)) % modulus;
+    Some(if k == 0 { modulus } else { k })
 }
 
 #[cfg(test)]
@@ -769,6 +1130,297 @@ mod tests {
             .unwrap();
         assert_eq!(global.load(0).unwrap(), 0);
         assert!(stats.instructions > 100_000);
+    }
+
+    /// A hook that opts into hang prediction and counts what happened.
+    #[derive(Default)]
+    struct PredictingHook {
+        retired: u64,
+        predicted: u32,
+    }
+
+    impl ExecHook for PredictingHook {
+        const PREDICT_HANGS: bool = true;
+
+        fn on_retire(&mut self, _ev: crate::hook::RetireEvent<'_>) {
+            self.retired += 1;
+        }
+
+        fn on_hang_predicted(&mut self) {
+            self.predicted += 1;
+        }
+    }
+
+    /// Runs a one-thread counting loop: `$r1` starts at `start`, steps by
+    /// `+1` and the loop continues while `set.<cond> $r1, <bound>` holds.
+    fn counting_loop(
+        start: u32,
+        cond: &str,
+        bound: u32,
+        budget: u64,
+    ) -> (Result<RunStats, SimFault>, PredictingHook, u32) {
+        let p = assemble(
+            "t",
+            &format!(
+                r#"
+                mov.u32 $r1, {start:#x}
+                loop:
+                add.u32 $r1, $r1, 0x1
+                set.{cond} $p0/$o127, $r1, {bound:#x}
+                @$p0.ne bra loop
+                mov.u32 $r2, s[0x0010]
+                st.global.u32 [$r2], $r1
+                exit
+                "#
+            ),
+        )
+        .unwrap();
+        let mut global = MemBlock::with_words(1);
+        let launch = Launch::new(p).instr_budget(budget).param(0);
+        let mut hook = PredictingHook::default();
+        let run = Simulator::new().run(&launch, &mut global, &mut hook);
+        (run, hook, global.load(0).unwrap())
+    }
+
+    #[test]
+    fn lone_thread_counting_loop_through_barriers_is_predicted() {
+        // Thread 1 exits at once; thread 0's counter skipped its `!= 0x10`
+        // exit and steps through two barriers per iteration. Once it is
+        // alone its barriers are no-ops, so the detector spans them.
+        let p = assemble(
+            "t",
+            r#"
+            cvt.u32.u16 $r1, %tid.x
+            set.ne.u32.u32 $p0/$o127, $r1, $r124
+            @$p0.ne bra out
+            mov.u32 $r2, 0x11
+            loop:
+            bar.sync 0x0
+            add.u32 $r2, $r2, 0x1
+            mov.u32 $r3, s[0x0010]
+            bar.sync 0x0
+            set.ne.u32.u32 $p1/$o127, $r2, 0x10
+            @$p1.ne bra loop
+            out:
+            exit
+            "#,
+        )
+        .unwrap();
+        let budget = 10_000_000;
+        let launch = Launch::new(p).block(2, 1, 1).instr_budget(budget).param(0);
+        let mut global = MemBlock::with_words(1);
+        let mut hook = PredictingHook::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut hook)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(hook.predicted, 1);
+        assert!(
+            hook.retired < budget / 100,
+            "retired {} of a {budget} budget",
+            hook.retired
+        );
+        // Without the hook's opt-in the same run spends the whole budget.
+        let mut global = MemBlock::with_words(1);
+        let launch = launch.instr_budget(200_000);
+        let mut counter = CountingHook::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut counter)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(counter.0, 200_000);
+    }
+
+    #[derive(Default)]
+    struct CountingHook(u64);
+
+    impl ExecHook for CountingHook {
+        fn on_retire(&mut self, _ev: crate::hook::RetireEvent<'_>) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn exit_one_iteration_inside_the_budget_is_not_predicted() {
+        // mov, 10_000 iterations of 3 instructions (the last branch fails
+        // its guard and does not retire), then mov + st + exit.
+        let needed = 1 + 30_000 - 1 + 3;
+        let (run, hook, out) = counting_loop(0, "ne.u32.u32", 10_000, needed);
+        let stats = run.expect("the exit is within budget");
+        assert_eq!(stats.instructions, needed);
+        assert_eq!(out, 10_000);
+        assert_eq!(hook.predicted, 0);
+        // One instruction short: the exit compare still flips inside the
+        // budget, so no prediction — the budget runs out instead.
+        let (run, hook, _) = counting_loop(0, "ne.u32.u32", 10_000, needed - 1);
+        assert_eq!(run.unwrap_err(), SimFault::BudgetExceeded);
+        assert_eq!(hook.predicted, 0);
+        assert_eq!(hook.retired, needed - 1);
+    }
+
+    #[test]
+    fn wrap_around_exit_is_honoured() {
+        // `while r1 >= 0x10` from 0xFFFF_0000 exits only once the counter
+        // wraps through zero: 0x1_0000 iterations.
+        let (run, hook, out) = counting_loop(0xFFFF_0000, "ge.u32.u32", 0x10, 1_000_000);
+        assert!(run.is_ok(), "the wrapped exit is reachable");
+        assert_eq!(out, 0);
+        assert_eq!(hook.predicted, 0);
+        // With a budget short of the wrap the loop is a certified hang.
+        let (run, hook, _) = counting_loop(0xFFFF_0000, "ge.u32.u32", 0x10, 150_000);
+        assert_eq!(run.unwrap_err(), SimFault::BudgetExceeded);
+        assert_eq!(hook.predicted, 1);
+        assert!(hook.retired < 20_000);
+    }
+
+    #[test]
+    fn signed_compare_flips_at_signed_overflow() {
+        // `while r1 > 100` (signed) from 0x7FFF_0000 exits when the counter
+        // overflows to negative, long before an unsigned reading would.
+        let (run, hook, out) = counting_loop(0x7FFF_0000, "gt.s32.s32", 100, 1_000_000);
+        assert!(run.is_ok(), "the signed exit is reachable");
+        assert_eq!(out, 0x8000_0000);
+        assert_eq!(hook.predicted, 0);
+        let (run, hook, _) = counting_loop(0x7FFF_0000, "gt.s32.s32", 100, 100_000);
+        assert_eq!(run.unwrap_err(), SimFault::BudgetExceeded);
+        assert_eq!(hook.predicted, 1);
+    }
+
+    #[test]
+    fn counter_tainted_load_address_is_not_predicted() {
+        // The counter walks a pointer off the end of global memory: the
+        // loop must run until the load faults.
+        let p = assemble(
+            "t",
+            r#"
+            mov.u32 $r1, s[0x0010]
+            loop:
+            ld.global.u32 $r3, [$r1]
+            add.u32 $r1, $r1, 0x4
+            bra loop
+            "#,
+        )
+        .unwrap();
+        let mut global = MemBlock::with_words(8192);
+        let launch = Launch::new(p).instr_budget(1 << 40).param(0);
+        let mut hook = PredictingHook::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut hook)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimFault::InvalidAccess {
+                    space: MemSpace::Global,
+                    addr: 0x8000
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(hook.predicted, 0);
+    }
+
+    #[test]
+    fn barrier_loop_with_a_second_live_thread_is_not_predicted() {
+        // Both threads loop through a barrier forever; neither is alone,
+        // so the other thread could store between any two quanta.
+        let p = assemble(
+            "t",
+            r#"
+            mov.u32 $r2, 0x11
+            loop:
+            add.u32 $r2, $r2, 0x1
+            bar.sync 0x0
+            set.ne.u32.u32 $p1/$o127, $r2, 0x10
+            @$p1.ne bra loop
+            exit
+            "#,
+        )
+        .unwrap();
+        let launch = Launch::new(p).block(2, 1, 1).instr_budget(200_000);
+        let mut global = MemBlock::with_words(1);
+        let mut hook = PredictingHook::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut hook)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(hook.predicted, 0);
+        assert_eq!(hook.retired, 200_000);
+    }
+
+    #[test]
+    fn compare_certificate_agrees_with_brute_force() {
+        use fsp_isa::{CmpOp, Instruction, Opcode, ScalarType};
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let cmps = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let edges: [u32; 5] = [0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF];
+        let (mut certified, mut refused) = (0, 0);
+        for _ in 0..20_000 {
+            let mut instr = Instruction::new(Opcode::Set);
+            instr.cmp = Some(cmps[(next() % 6) as usize]);
+            instr.src_ty = if next() & 1 == 0 {
+                ScalarType::U32
+            } else {
+                ScalarType::S32
+            };
+            let v0 = match next() % 3 {
+                0 => edges[(next() % 5) as usize].wrapping_add(next() as u32 % 64),
+                _ => next() as u32,
+            };
+            let step = match next() % 4 {
+                0 => 1,
+                1 => u32::MAX,
+                2 => (next() % 9) as u32 + 2,
+                _ => next() as u32 | 1,
+            };
+            // The fixed operand lies a few hundred steps away, or anywhere.
+            let c = match next() % 3 {
+                0 => edges[(next() % 5) as usize],
+                1 => v0.wrapping_add(step.wrapping_mul(next() as u32 % 600)),
+                _ => next() as u32,
+            };
+            let k_max = next() % 1000 + 1;
+            let counter_first = next() & 1 == 0;
+            let hit = |v: u32| {
+                let srcs = if counter_first { [v, c] } else { [c, v] };
+                crate::exec::eval_op(&instr, &srcs).0 != 0
+            };
+            let holds =
+                (0..=k_max).all(|k| hit(v0.wrapping_add(step.wrapping_mul(k as u32))) == hit(v0));
+            let claim = compare_holds(&instr, counter_first, v0, c, step, k_max);
+            assert!(
+                !claim || holds,
+                "unsound: {:?} {:?} v0={v0:#x} c={c:#x} step={step:#x} k_max={k_max} first={counter_first}",
+                instr.cmp,
+                instr.src_ty
+            );
+            if holds && (step == 1 || step == u32::MAX) {
+                assert!(claim, "unit strides are decided exactly");
+            }
+            if claim {
+                certified += 1;
+            } else if holds {
+                refused += 1;
+            }
+        }
+        assert!(certified > 5_000, "only {certified} certified");
+        assert!(
+            refused < certified / 10,
+            "{refused} refused vs {certified} certified"
+        );
     }
 
     #[test]

@@ -317,10 +317,14 @@ impl StreamEstimator {
         }
         let f_dyn = self.dynamic_fraction();
         let certain = self.certain[class] / total;
+        let estimate = self.estimate(class);
+        // The interval holds its estimate; with no hit (or no miss) in the
+        // class the bound is a difference of two equal terms, and rounding
+        // must not push it past the estimate.
         ClassInterval {
-            estimate: self.estimate(class),
-            lo: (certain + f_dyn * (center - half)).max(0.0),
-            hi: (certain + f_dyn * (center + half)).min(1.0),
+            estimate,
+            lo: (certain + f_dyn * (center - half)).clamp(0.0, estimate),
+            hi: (certain + f_dyn * (center + half)).clamp(estimate, 1.0),
         }
     }
 
@@ -626,6 +630,21 @@ mod tests {
         for (k, o) in OUTCOMES.iter().enumerate() {
             assert_eq!(class_index(*o), k);
             assert_eq!(o.code() as usize, k);
+        }
+    }
+
+    #[test]
+    fn intervals_contain_a_zero_estimate_exactly() {
+        // With no hit in a class, Wilson's lower bound is centre − half
+        // of two equal terms; rounding must not lift it above 0.
+        let mut est = StreamEstimator::new();
+        for n in 1..=2000 {
+            est.record(Outcome::Masked);
+            for confidence in [0.9, 0.95, 0.99] {
+                let iv = est.wilson(1, confidence);
+                assert_eq!(iv.estimate, 0.0);
+                assert!(iv.lo <= iv.estimate, "n = {n}: lo = {}", iv.lo);
+            }
         }
     }
 
