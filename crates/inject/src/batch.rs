@@ -30,10 +30,13 @@
 //!   equals golden state, determinism forces the golden outcome → `Masked`.
 //! * **Untriggered** — the site's destination bit was never written (stale
 //!   site): the run is the golden run → `Masked`.
-//! * **End of stream** — the replay finishes with the lane's set still
-//!   open: the lane's final memory is `golden + overlay`, so the output
-//!   comparison reduces to "does the overlay intersect the output region"
-//!   → `Sdc` or `Masked` without materializing the lane's memory.
+//! * **End of stream** — at the end of the lane's CTA, or of a later one,
+//!   the CTA-boundary cut (`crate::cut`) proves that the rest of the run
+//!   replays the golden run: the lane's global overlay is exactly the set
+//!   of corrupted words the rule needs, so the lane is settled there as
+//!   `Sdc` or `Masked` without materializing its memory. A lane the rule
+//!   refuses keeps tracking until a later boundary or the end of the
+//!   replay, where the overlay decides the same way.
 //! * **Demoted** — the lane would leave the golden stream (a diverged
 //!   predicate flips a guard, a diverged register feeds an address) or
 //!   outgrows its set budget: only *that lane* falls back to the solo path;
@@ -45,9 +48,12 @@
 //! hang or trap — those outcomes always surface through the solo fallback.
 
 use fsp_isa::{Dest, MemRef, MemSpace, Opcode, Operand, PredTest, Register};
-use fsp_sim::{apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, RetireEvent};
+use fsp_sim::{
+    apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, MemBlock, RetireEvent,
+};
 use fsp_stats::Outcome;
 
+use crate::cut::CtaCut;
 use crate::fastpath::{reg_key, space_code};
 use crate::model::FaultModel;
 use crate::site::FaultSite;
@@ -84,9 +90,11 @@ pub(crate) enum RetireCause {
     Converged,
     /// The site's destination bit was never written.
     Untriggered,
-    /// Stream ended with divergence outside the output region.
+    /// Stream ended, or was cut at a CTA boundary, with divergence
+    /// outside the output region.
     EndMasked,
-    /// Stream ended with a divergent output word.
+    /// Stream ended, or was cut at a CTA boundary, with a divergent output
+    /// word.
     EndSdc,
 }
 
@@ -145,7 +153,7 @@ struct Lane {
 /// An [`ExecHook`] driving up to [`MAX_BATCH`] fault lanes off one golden
 /// replay. See the module docs for the lane model.
 #[derive(Debug, Clone)]
-pub(crate) struct BatchInjectionHook {
+pub(crate) struct BatchInjectionHook<'a> {
     model: FaultModel,
     threads_per_cta: u32,
     /// Output region `[out_lo, out_hi)` in global byte addresses, for the
@@ -167,9 +175,11 @@ pub(crate) struct BatchInjectionHook {
     /// CTA of the last retirement seen; a later CTA retires all earlier
     /// CTAs' private and shared divergence (CTAs run serially).
     current_cta: Option<u32>,
+    /// The CTA-boundary cut rule, when enabled.
+    cut: Option<CtaCut<'a>>,
 }
 
-impl BatchInjectionHook {
+impl<'a> BatchInjectionHook<'a> {
     /// Arms one lane per site. `sites` must not exceed [`MAX_BATCH`];
     /// `out_region` is `(byte addr, word count)` of the kernel output.
     pub(crate) fn new(
@@ -217,7 +227,14 @@ impl BatchInjectionHook {
             trigger_pending,
             sg: Vec::new(),
             current_cta: None,
+            cut: None,
         }
+    }
+
+    /// Enables the CTA-boundary cut under `rule`.
+    pub(crate) fn with_cut(mut self, rule: CtaCut<'a>) -> Self {
+        self.cut = Some(rule);
+        self
     }
 
     /// Demotes every unresolved lane (shared replay failed).
@@ -740,7 +757,7 @@ fn has_eval_result(op: Opcode) -> bool {
     )
 }
 
-impl ExecHook for BatchInjectionHook {
+impl ExecHook for BatchInjectionHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         if self.active == 0 {
             return;
@@ -857,6 +874,51 @@ impl ExecHook for BatchInjectionHook {
 
     #[inline]
     fn converged(&self) -> bool {
+        self.active == 0
+    }
+
+    /// Settles every lane whose CTA has ended and that the cut rule admits;
+    /// the shared replay stops once no lane is left.
+    fn on_cta_end(&mut self, cta: u32, _global: &MemBlock, budget: u64) -> bool {
+        let Some(rule) = self.cut else {
+            return false;
+        };
+        if !rule.applies(cta) {
+            return false;
+        }
+        // A lane never demoted has retired the golden stream, so the
+        // replay's budget is its own.
+        let mut m = self.active;
+        while m != 0 {
+            let li = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.lanes[li].site.tid / self.threads_per_cta > cta {
+                continue;
+            }
+            match self.lanes[li].state {
+                LaneState::Pending => {
+                    self.resolve(li, Outcome::Masked, RetireCause::Untriggered);
+                }
+                LaneState::Tracking => {
+                    let d = self.lanes[li]
+                        .mem
+                        .iter()
+                        .filter(|e| e.0 == GLOBAL)
+                        .map(|e| e.2);
+                    if let Some(cut) = rule.judge(cta, budget, d) {
+                        let cause = if cut.restored {
+                            RetireCause::Converged
+                        } else if cut.outcome == Outcome::Sdc {
+                            RetireCause::EndSdc
+                        } else {
+                            RetireCause::EndMasked
+                        };
+                        self.resolve(li, cut.outcome, cause);
+                    }
+                }
+                LaneState::Done(..) | LaneState::Demoted(_) => {}
+            }
+        }
         self.active == 0
     }
 }

@@ -8,7 +8,9 @@
 //! ([`crate::FastInjectionHook`]) compares every post-flip commit against
 //! the recorded golden value trace and stops the suffix early once the
 //! fault's divergence set provably empties (the run is `Masked` by
-//! construction).
+//! construction). Whether or not it does, a run stops at the first CTA
+//! boundary from which the rest of the run provably replays the golden run
+//! (`crate::cut`), classified from its corrupted global words alone.
 //! The slow path — a full re-execution per site — is kept behind
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
 //! two paths are byte-identical in outcomes and SDC severities.
@@ -18,15 +20,16 @@ use std::sync::{Mutex, OnceLock};
 
 use fsp_isa::PredTest;
 use fsp_sim::{
-    Checkpoint, CheckpointConfig, ExecHook, FullTraces, GlobalWriteProfile, GoldenRecorder,
-    GoldenTrace, KernelTrace, Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator,
-    Tracer, Writeback,
+    BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, FullTraces, GlobalWriteProfile,
+    GoldenBoundaries, GoldenRecorder, GoldenTrace, KernelTrace, Launch, MemBlock, ResumeScratch,
+    RetireEvent, SimFault, Simulator, Tracer, Writeback,
 };
 use fsp_stats::{Outcome, OutcomeKind, ResilienceProfile};
 
 use crate::batch::{
     BatchInjectionHook, DemoteCause, LaneEnd, RetireCause, DEFAULT_BATCH, MAX_BATCH,
 };
+use crate::cut::{CtaCut, CutMetrics};
 use crate::fastpath::FastInjectionHook;
 use crate::hook::InjectionHook;
 use crate::site::{SiteSpace, WeightedSite};
@@ -292,8 +295,11 @@ struct RunMeta {
     executed: u64,
     /// Whether the run resumed from a checkpoint.
     ckpt_hit: bool,
-    /// Whether the run was cut short by early convergence.
+    /// Whether the run was cut short by early convergence, or was cut at a
+    /// CTA boundary after which it would have converged.
     early: bool,
+    /// The CTA after which the run was cut (see `crate::cut`).
+    cut: Option<u32>,
 }
 
 /// Aggregated cost accounting of one batched replay plus its solo
@@ -342,6 +348,12 @@ pub struct Experiment<'a, T: InjectionTarget> {
     /// tracker's cannot-converge proof (empty when `golden_trace` is
     /// `None`).
     global_writers: GlobalWriteProfile,
+    /// The golden run at each CTA boundary, for the CTA-boundary cut
+    /// (empty when `golden_trace` is `None`).
+    boundaries: GoldenBoundaries,
+    /// `fsp_inject_cta_cut_total` and `fsp_inject_cta_cut_refused_total`
+    /// for this kernel.
+    cut_metrics: CutMetrics,
     fast_path: bool,
     /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
     /// simulator proved hung and cut short.
@@ -351,19 +363,25 @@ pub struct Experiment<'a, T: InjectionTarget> {
     batch: usize,
 }
 
-/// Composes the dynamic-instruction tracer with the golden value recorder
-/// so [`Experiment::prepare`] still runs the fault-free launch exactly
-/// once. Neither component overrides write-back values, so composition
-/// order is immaterial.
+/// Composes the dynamic-instruction tracer with the golden value and CTA
+/// boundary recorders so [`Experiment::prepare`] still runs the fault-free
+/// launch exactly once. No component overrides write-back values or stops
+/// the run, so composition order is immaterial.
 struct PrepareHook<'h> {
     tracer: &'h mut Tracer,
     golden: &'h mut GoldenRecorder,
+    boundaries: &'h mut BoundaryRecorder,
 }
 
 impl ExecHook for PrepareHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         self.golden.on_retire(ev);
+        self.boundaries.on_retire(ev);
         self.tracer.on_retire(ev);
+    }
+
+    fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
+        self.boundaries.on_cta_end(cta, global, budget)
     }
 
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
@@ -400,13 +418,19 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             tracer = tracer.with_full_traces(0..num_threads);
         }
         let sim = Simulator::new();
-        let mut golden_rec = trace_all.then(|| GoldenRecorder::new(num_threads));
+        let mut golden_rec = trace_all.then(|| {
+            (
+                GoldenRecorder::new(num_threads),
+                BoundaryRecorder::new(initial.len_bytes() / 4),
+            )
+        });
         let (stats, checkpoints) = {
             let _golden = fsp_obs::span("inject.golden_run");
-            if let Some(rec) = golden_rec.as_mut() {
+            if let Some((values, cta_ends)) = golden_rec.as_mut() {
                 let mut hook = PrepareHook {
                     tracer: &mut tracer,
-                    golden: rec,
+                    golden: values,
+                    boundaries: cta_ends,
                 };
                 sim.run_with_checkpoints(
                     &launch,
@@ -421,7 +445,10 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let (addr, len) = target.output_region();
         let golden = memory.read_words(addr, len);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
-        let golden_trace = golden_rec.map(GoldenRecorder::finish);
+        let (golden_trace, boundaries) = match golden_rec {
+            Some((values, cta_ends)) => (Some(values.finish()), cta_ends.finish()),
+            None => (None, GoldenBoundaries::default()),
+        };
         let hangs_predicted = fsp_obs::registry().counter_labeled(
             "fsp_inject_hang_predicted_total",
             &[("kernel", launch.program().name())],
@@ -431,6 +458,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             .as_ref()
             .map(|t| t.global_write_profile(launch.threads_per_cta()))
             .unwrap_or_default();
+        let cut_metrics = CutMetrics::new(launch.program().name());
         Ok(Experiment {
             target,
             launch: launch.instr_budget(budget),
@@ -442,6 +470,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             checkpoints,
             golden_trace,
             global_writers,
+            boundaries,
+            cut_metrics,
             fast_path: true,
             hangs_predicted,
             batch: DEFAULT_BATCH,
@@ -466,6 +496,33 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn hangs_predicted(&self) -> u64 {
         self.hangs_predicted.get()
+    }
+
+    /// Fast-path injected runs of this kernel, process-wide, stopped at a
+    /// CTA boundary because the rest of the run provably replays the golden
+    /// run (the `fsp_inject_cta_cut_total` series, summed over outcomes).
+    /// Batched lanes settled at a boundary count as cut runs too.
+    #[must_use]
+    pub fn cta_cuts(&self) -> u64 {
+        self.cut_metrics.cuts()
+    }
+
+    /// CTA boundaries of this kernel, process-wide, at which the cut rule
+    /// refused to stop a fast-path run (the
+    /// `fsp_inject_cta_cut_refused_total` series, summed over reasons).
+    #[must_use]
+    pub fn cta_cut_refusals(&self) -> u64 {
+        self.cut_metrics.refusals()
+    }
+
+    /// The CTA-boundary cut rule over this experiment's golden run.
+    fn cta_cut(&self) -> CtaCut<'_> {
+        CtaCut::new(
+            &self.boundaries,
+            &self.global_writers,
+            self.target.output_region(),
+            &self.cut_metrics,
+        )
     }
 
     /// The golden output words.
@@ -610,19 +667,31 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     ) -> (Outcome, Option<f64>) {
         let mut scratch = self.initial.clone();
         let mut resume = ResumeScratch::default();
-        let (outcome, severity, _) = self.run_one_in(site, model, &mut scratch, &mut resume);
-        (outcome, severity)
+        let (outcome, meta) = self.run_one_in(site, model, &mut scratch, &mut resume);
+        if outcome != Outcome::Sdc {
+            return (outcome, None);
+        }
+        let out = match meta.cut {
+            Some(cta) => self.cta_cut().output(cta, &scratch, &self.golden),
+            None => {
+                let (addr, len) = self.target.output_region();
+                scratch.read_words(addr, len)
+            }
+        };
+        (outcome, Some(crate::relative_l2_error(&self.golden, &out)))
     }
 
     /// Runs one injection in a caller-owned scratch memory block (reused
-    /// across calls to amortize allocation). This is the campaign hot path.
+    /// across calls to amortize allocation) and classifies it. This is the
+    /// campaign hot path; SDC severity is left to
+    /// [`Experiment::run_one_detailed`], which reads `scratch` afterwards.
     fn run_one_in(
         &self,
         site: crate::FaultSite,
         model: crate::FaultModel,
         scratch: &mut MemBlock,
         resume: &mut ResumeScratch,
-    ) -> (Outcome, Option<f64>, RunMeta) {
+    ) -> (Outcome, RunMeta) {
         let start_ns = fsp_obs::now_ns();
         let sim = Simulator::new();
         let mut meta = RunMeta::default();
@@ -636,7 +705,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 golden_trace,
                 &self.global_writers,
                 self.launch.threads_per_cta(),
-            );
+            )
+            .with_cut(self.cta_cut());
             let run = match self.checkpoint_for(site) {
                 Some(cp) => {
                     meta.ckpt_hit = true;
@@ -661,7 +731,16 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                         // and determinism forces the golden outcome.
                         meta.early = true;
                         inject_metrics().record_run(meta, true, false, Outcome::Masked, start_ns);
-                        return (Outcome::Masked, None, meta);
+                        return (Outcome::Masked, meta);
+                    }
+                    if let Some((cta, cut)) = hook.cut() {
+                        // The rest of the run replays the golden run. Had
+                        // it gone on, an unbailed tracker would have seen
+                        // every corrupted word restored and converged.
+                        meta.cut = Some(cta);
+                        meta.early = cut.restored && hook.triggered() && !bailed;
+                        inject_metrics().record_run(meta, true, bailed, cut.outcome, start_ns);
+                        return (cut.outcome, meta);
                     }
                     Ok(())
                 }
@@ -678,25 +757,17 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 Err(e) => Err(e),
             }
         };
-        let (outcome, severity) = match result {
-            Err(SimFault::BudgetExceeded) => (Outcome::HANG, None),
-            Err(SimFault::DetectedExit { .. }) => (Outcome::Detected, None),
-            Err(_) => (Outcome::CRASH, None),
-            Ok(()) => {
-                let (addr, len) = self.target.output_region();
-                if scratch.region_eq(addr, &self.golden) {
-                    (Outcome::Masked, None)
-                } else {
-                    let out = scratch.read_words(addr, len);
-                    (
-                        Outcome::Sdc,
-                        Some(crate::relative_l2_error(&self.golden, &out)),
-                    )
-                }
+        let outcome = match result {
+            Err(SimFault::BudgetExceeded) => Outcome::HANG,
+            Err(SimFault::DetectedExit { .. }) => Outcome::Detected,
+            Err(_) => Outcome::CRASH,
+            Ok(()) if scratch.region_eq(self.target.output_region().0, &self.golden) => {
+                Outcome::Masked
             }
+            Ok(()) => Outcome::Sdc,
         };
         inject_metrics().record_run(meta, fast_used, bailed, outcome, start_ns);
-        (outcome, severity, meta)
+        (outcome, meta)
     }
 
     /// Runs one batched replay over sites sharing a batch group (same
@@ -720,7 +791,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             self.launch.num_threads(),
             self.launch.threads_per_cta(),
             self.target.output_region(),
-        );
+        )
+        .with_cut(self.cta_cut());
         let mut meta = BatchRunMeta::default();
         let cp = self.checkpoint_for(batch_sites[0]);
         let run = match cp {
@@ -753,7 +825,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                     outs.push(outcome);
                 }
                 LaneEnd::Demoted(_) => {
-                    let (outcome, _, rm) = self.run_one_in(site, model, scratch, resume);
+                    let (outcome, rm) = self.run_one_in(site, model, scratch, resume);
                     meta.hits += u64::from(rm.ckpt_hit);
                     meta.skipped += rm.skipped;
                     meta.executed += rm.executed;
@@ -940,7 +1012,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                                 batch_lanes.fetch_add(bm.lanes, Ordering::Relaxed);
                             } else {
                                 for &i in indices {
-                                    let (o, _, meta) = self.run_one_in(
+                                    let (o, meta) = self.run_one_in(
                                         sites[i].site,
                                         model,
                                         &mut scratch,

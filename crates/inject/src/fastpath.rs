@@ -35,12 +35,21 @@
 //! the same schedule point; determinism then forces the golden outcome,
 //! so the campaign stops the run and records `Masked` immediately
 //! ([`ExecHook::converged`]).
+//!
+//! Bailed or not, the hook also applies the CTA-boundary cut
+//! (`crate::cut`) at the end of the faulty CTA and of every later one:
+//! once no later CTA reads a global word the run corrupted, the rest of
+//! the run replays the golden run, and the outcome follows from the
+//! corrupted words alone ([`ExecHook::on_cta_end`]).
 
 use std::collections::HashSet;
 
 use fsp_isa::{MemSpace, Opcode, Register};
-use fsp_sim::{ExecHook, GlobalWriteProfile, GoldenTrace, MemAccess, RetireEvent, Writeback};
+use fsp_sim::{
+    ExecHook, GlobalWriteProfile, GoldenTrace, MemAccess, MemBlock, RetireEvent, Writeback,
+};
 
+use crate::cut::{CtaCut, Cut};
 use crate::hook::InjectionHook;
 use crate::model::FaultModel;
 use crate::site::FaultSite;
@@ -132,6 +141,12 @@ pub struct FastInjectionHook<'a> {
     shared_global: u32,
     /// The simulator cut the run short on a hang certificate.
     hang_predicted: bool,
+    /// The CTA-boundary cut rule, when enabled.
+    cut: Option<CtaCut<'a>>,
+    /// CTA of the site's thread: the cut applies from its end on.
+    site_cta: u32,
+    /// The CTA after which the run was cut, and how it ends.
+    cut_at: Option<(u32, Cut)>,
 }
 
 impl<'a> FastInjectionHook<'a> {
@@ -146,11 +161,12 @@ impl<'a> FastInjectionHook<'a> {
         writers: &'a GlobalWriteProfile,
         threads_per_cta: u32,
     ) -> Self {
+        let threads_per_cta = threads_per_cta.max(1);
         FastInjectionHook {
             inner: InjectionHook::with_model(site, model),
             golden,
             writers,
-            threads_per_cta: threads_per_cta.max(1),
+            threads_per_cta,
             armed: false,
             bailed: false,
             fuel: TRACK_WINDOW,
@@ -164,7 +180,21 @@ impl<'a> FastInjectionHook<'a> {
             per_thread: vec![0; golden.num_threads() as usize],
             shared_global: 0,
             hang_predicted: false,
+            cut: None,
+            site_cta: site.tid / threads_per_cta,
+            cut_at: None,
         }
+    }
+
+    /// Enables the CTA-boundary cut under `rule`.
+    pub(crate) fn with_cut(mut self, rule: CtaCut<'a>) -> Self {
+        self.cut = Some(rule);
+        self
+    }
+
+    /// The CTA after which the run was cut, and how it ends.
+    pub(crate) fn cut(&self) -> Option<(u32, Cut)> {
+        self.cut_at
     }
 
     /// Whether the flip actually happened.
@@ -331,6 +361,17 @@ impl ExecHook for FastInjectionHook<'_> {
 
     fn on_hang_predicted(&mut self) {
         self.hang_predicted = true;
+    }
+
+    fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
+        let Some(rule) = &self.cut else {
+            return false;
+        };
+        if cta < self.site_cta || !rule.applies(cta) {
+            return false;
+        }
+        self.cut_at = rule.judge_memory(cta, global, budget).map(|c| (cta, c));
+        self.cut_at.is_some()
     }
 
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {

@@ -34,6 +34,7 @@
 
 mod batch;
 mod campaign;
+mod cut;
 mod fastpath;
 mod hook;
 mod model;

@@ -23,6 +23,7 @@
 use fsp_isa::MemSpace;
 
 use crate::hook::{ExecHook, RetireEvent, Writeback};
+use crate::mem::MemBlock;
 
 /// One store committed by the golden run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +149,124 @@ impl GlobalWriteProfile {
     /// `(addr, stats)` pairs in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &GlobalWriteStats)> {
         self.entries.iter().map(|(a, s)| (*a, s))
+    }
+}
+
+/// Grid-wide profile of the golden run's global loads: the last CTA
+/// (serial launch order) that loads each word.
+///
+/// The CTA-boundary cut uses it to prove that no CTA after a boundary
+/// reads a word the fault corrupted. Held as one dense entry per global
+/// word, so building it during the golden run is an indexed store per load
+/// and a lookup is one array read.
+#[derive(Debug, Clone, Default)]
+pub struct GlobalReadProfile {
+    /// `1 + last loading CTA` per word; 0 for words never loaded.
+    last: Vec<u32>,
+}
+
+impl GlobalReadProfile {
+    /// The last CTA that loads global word `addr`, or `None` if the golden
+    /// run never loads it.
+    #[must_use]
+    pub fn last_cta(&self, addr: u32) -> Option<u32> {
+        self.last
+            .get(addr as usize / 4)
+            .and_then(|&c| c.checked_sub(1))
+    }
+}
+
+/// The golden run as seen at its CTA boundaries: global memory and the
+/// retirements still ahead after each CTA, plus the global read profile.
+///
+/// Under the serial schedule nothing but global memory survives a CTA
+/// boundary (shared memory resets, threads start fresh), so these are
+/// what an injected run is compared against to prove that its remaining
+/// CTAs replay the golden run. Recorded by [`BoundaryRecorder`].
+#[derive(Debug, Clone, Default)]
+pub struct GoldenBoundaries {
+    /// Global memory after CTA `c` (chunks shared copy-on-write).
+    images: Vec<MemBlock>,
+    /// Golden retirements in CTAs after `c`.
+    after: Vec<u64>,
+    reads: GlobalReadProfile,
+}
+
+impl GoldenBoundaries {
+    /// Number of CTAs recorded.
+    #[must_use]
+    pub fn num_ctas(&self) -> u32 {
+        self.images.len() as u32
+    }
+
+    /// Golden global memory right after CTA `cta` finished.
+    #[must_use]
+    pub fn image(&self, cta: u32) -> Option<&MemBlock> {
+        self.images.get(cta as usize)
+    }
+
+    /// Instructions the golden run retires in the CTAs after `cta`.
+    #[must_use]
+    pub fn retirements_after(&self, cta: u32) -> u64 {
+        self.after.get(cta as usize).copied().unwrap_or(0)
+    }
+
+    /// The last-reader profile of global loads.
+    #[must_use]
+    pub fn reads(&self) -> &GlobalReadProfile {
+        &self.reads
+    }
+}
+
+/// Hook that records [`GoldenBoundaries`] during a fault-free
+/// thread-serial run (it needs [`ExecHook::on_cta_end`]).
+#[derive(Debug, Clone, Default)]
+pub struct BoundaryRecorder {
+    images: Vec<MemBlock>,
+    /// Unspent budget after each CTA.
+    budgets: Vec<u64>,
+    last: Vec<u32>,
+}
+
+impl BoundaryRecorder {
+    /// A recorder for a launch over `global_words` words of global memory.
+    #[must_use]
+    pub fn new(global_words: usize) -> Self {
+        BoundaryRecorder {
+            last: vec![0; global_words],
+            ..BoundaryRecorder::default()
+        }
+    }
+
+    /// Finalizes the recording.
+    #[must_use]
+    pub fn finish(self) -> GoldenBoundaries {
+        let end = self.budgets.last().copied().unwrap_or(0);
+        GoldenBoundaries {
+            images: self.images,
+            after: self.budgets.iter().map(|&b| b - end).collect(),
+            reads: GlobalReadProfile { last: self.last },
+        }
+    }
+}
+
+impl ExecHook for BoundaryRecorder {
+    fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        // CTAs run serially, so the running CTA is the count finished.
+        let cta = self.images.len() as u32;
+        for a in ev.accesses {
+            if !a.is_store && a.space == MemSpace::Global {
+                if let Some(c) = self.last.get_mut(a.addr as usize / 4) {
+                    *c = cta + 1;
+                }
+            }
+        }
+    }
+
+    fn on_cta_end(&mut self, _cta: u32, global: &MemBlock, budget: u64) -> bool {
+        self.images.push(global.clone());
+        self.budgets.push(budget);
+        false
     }
 }
 
@@ -301,6 +420,51 @@ mod tests {
                 value: 10
             })
         );
+    }
+
+    #[test]
+    fn boundaries_record_images_suffixes_and_last_readers() {
+        // Each CTA loads word 0 and stores its id + 1 to word 1 + ctaid;
+        // only CTA 0 loads word 8.
+        let program = assemble(
+            "boundaries",
+            r#"
+            cvt.u32.u16 $r1, %ctaid.x
+            ld.global.u32 $r2, [$r124]
+            set.eq.u32.u32 $p0/$o127, $r1, $r124
+            @$p0.ne ld.global.u32 $r3, [$r124+0x20]
+            add.u32 $r2, $r1, 0x1
+            shl.u32 $r4, $r1, 0x2
+            st.global.u32 [$r4+0x4], $r2
+            exit
+            "#,
+        )
+        .expect("assembles");
+        let launch = Launch::new(program).grid(3, 1).block(1, 1, 1);
+        let mut memory = MemBlock::with_words(16);
+        let mut rec = BoundaryRecorder::new(16);
+        let stats = Simulator::new()
+            .run(&launch, &mut memory, &mut rec)
+            .expect("golden run");
+        let b = rec.finish();
+        assert_eq!(b.num_ctas(), 3);
+        for cta in 0..3u32 {
+            let image = b.image(cta).expect("image");
+            for c in 0..3u32 {
+                let want = if c <= cta { c + 1 } else { 0 };
+                assert_eq!(image.load(4 + 4 * c).unwrap(), want, "after CTA {cta}");
+            }
+        }
+        // CTA 0 retires 8 instructions (its guarded load passes), CTAs 1
+        // and 2 retire 7 each.
+        assert_eq!(stats.instructions, 22);
+        assert_eq!(b.retirements_after(0), 14);
+        assert_eq!(b.retirements_after(1), 7);
+        assert_eq!(b.retirements_after(2), 0);
+        assert_eq!(b.reads().last_cta(0), Some(2));
+        assert_eq!(b.reads().last_cta(0x20), Some(0));
+        assert_eq!(b.reads().last_cta(4), None, "stored, never loaded");
+        assert_eq!(b.reads().last_cta(4 * 100), None, "out of range");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use fsp_isa::{Instruction, MemSpace, PredTest, Register};
 
+use crate::mem::MemBlock;
+
 /// One memory word touched by a retiring instruction.
 ///
 /// Reported through [`RetireEvent::accesses`] in operand order (loads as
@@ -117,6 +119,17 @@ pub trait ExecHook {
     /// is spent.
     #[inline]
     fn on_hang_predicted(&mut self) {}
+
+    /// Called after CTA `cta` (linear launch index) finishes under the
+    /// thread-serial schedule, with the global memory it left behind and
+    /// the instruction budget still unspent. Returning `true` stops the
+    /// run there, like [`ExecHook::converged`]. Golden recorders use it to
+    /// snapshot CTA boundaries; the injection fast path uses it to stop a
+    /// run whose remaining CTAs provably replay the golden run.
+    #[inline]
+    fn on_cta_end(&mut self, _cta: u32, _global: &MemBlock, _budget: u64) -> bool {
+        false
+    }
 }
 
 /// The do-nothing hook (fault-free, untraced execution).
@@ -151,5 +164,10 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     #[inline]
     fn on_hang_predicted(&mut self) {
         (**self).on_hang_predicted();
+    }
+
+    #[inline]
+    fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
+        (**self).on_cta_end(cta, global, budget)
     }
 }

@@ -66,7 +66,8 @@ mod warp;
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use exec::{apply_half_neg, eval_op, flags_of, operand_ty, pred_test, SimFault};
 pub use golden::{
-    GlobalWriteProfile, GlobalWriteStats, GoldenRecorder, GoldenStore, GoldenThread, GoldenTrace,
+    BoundaryRecorder, GlobalReadProfile, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries,
+    GoldenRecorder, GoldenStore, GoldenThread, GoldenTrace,
 };
 pub use hook::{ExecHook, MemAccess, NopHook, RetireEvent, Writeback};
 pub use launch::Launch;

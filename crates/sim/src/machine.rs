@@ -136,8 +136,9 @@ impl Simulator {
     /// `hook`.
     ///
     /// In thread-serial mode the hook's [`ExecHook::converged`] is polled
-    /// between steps; a `true` stops the run early with the stats retired
-    /// so far.
+    /// between steps and [`ExecHook::on_cta_end`] is called after each CTA;
+    /// a `true` from either stops the run early with the stats retired so
+    /// far.
     ///
     /// # Errors
     ///
@@ -206,7 +207,8 @@ impl Simulator {
                             hook,
                             &mut budget,
                             &mut stats,
-                        )? {
+                        )? || hook.on_cta_end(cy * gx + cx, global, budget)
+                        {
                             stats.instructions = launch.budget() - budget;
                             return Ok(stats);
                         }
@@ -234,6 +236,9 @@ impl Simulator {
     /// instructions (thread-serial schedule only). The returned checkpoints
     /// are ordered by [`Checkpoint::retired`] and every per-thread
     /// [`Checkpoint::icnt`] is nondecreasing across them.
+    ///
+    /// [`ExecHook::on_cta_end`] is called after each CTA; a `true` stops
+    /// the run there with the checkpoints captured so far.
     ///
     /// # Errors
     ///
@@ -353,6 +358,9 @@ impl Simulator {
             for t in &threads[..cta_threads] {
                 icnt_done[t.coords.flat_tid() as usize] = t.icnt;
             }
+            if hook.on_cta_end(cta, global, budget) {
+                break;
+            }
         }
         stats.instructions = launch.budget() - budget;
         Ok((stats, checkpoints))
@@ -438,22 +446,12 @@ impl Simulator {
         drop(restore);
         // Finish the checkpointed CTA from its snapshot state, then the
         // remaining CTAs from scratch.
-        if self.run_cta(
-            program,
-            global,
-            shared,
-            &mut threads[..cta_threads],
-            hook,
-            &mut budget,
-            &mut stats,
-        )? {
-            stats.instructions = start_budget - budget;
-            return Ok(stats);
-        }
-        for cta in (checkpoint.cta + 1)..launch.num_ctas() {
-            let (cx, cy) = (cta % gx, cta / gx);
-            reset_shared(shared, launch);
-            fill_cta_threads(threads, launch, cx, cy);
+        for cta in checkpoint.cta..launch.num_ctas() {
+            if cta > checkpoint.cta {
+                let (cx, cy) = (cta % gx, cta / gx);
+                reset_shared(shared, launch);
+                fill_cta_threads(threads, launch, cx, cy);
+            }
             if self.run_cta(
                 program,
                 global,
@@ -462,7 +460,8 @@ impl Simulator {
                 hook,
                 &mut budget,
                 &mut stats,
-            )? {
+            )? || hook.on_cta_end(cta, global, budget)
+            {
                 break;
             }
         }
@@ -1588,6 +1587,128 @@ mod tests {
             .unwrap();
         assert!(cps.len() <= 8, "thinning keeps the set bounded");
         assert!(cps.windows(2).all(|w| w[0].retired < w[1].retired));
+    }
+
+    /// Logs every CTA end with the global memory and budget it saw, and
+    /// asks to stop after CTA `stop_after`.
+    #[derive(Default)]
+    struct CtaEndHook {
+        retired: u64,
+        ends: Vec<(u32, Vec<u32>, u64)>,
+        stop_after: Option<u32>,
+    }
+
+    impl ExecHook for CtaEndHook {
+        fn on_retire(&mut self, _ev: crate::hook::RetireEvent<'_>) {
+            self.retired += 1;
+        }
+
+        fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
+            self.ends.push((cta, global.to_vec(), budget));
+            self.stop_after == Some(cta)
+        }
+    }
+
+    fn cta_ids(hook: &CtaEndHook) -> Vec<u32> {
+        hook.ends.iter().map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn cta_end_fires_once_per_cta_on_every_run_path() {
+        let launch = checkpoint_kernel();
+        let budget = launch.budget();
+        let sim = Simulator::new();
+        let mut plain = CtaEndHook::default();
+        let mut global = MemBlock::with_words(16);
+        let stats = sim.run(&launch, &mut global, &mut plain).unwrap();
+        assert_eq!(cta_ids(&plain), [0, 1, 2]);
+        // CTA c stores words 4c..4c+4: each boundary sees exactly the CTAs
+        // before it, and the budget each one leaves.
+        for (cta, image, left) in &plain.ends {
+            let done = 4 * (*cta as usize + 1);
+            assert_eq!(image[..done], global.to_vec()[..done]);
+            assert!(image[done..].iter().all(|&w| w == 0));
+            assert!(*left < budget);
+        }
+        assert_eq!(plain.ends[2].2, budget - stats.instructions);
+
+        let mut ckpt = CtaEndHook::default();
+        let (_, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut MemBlock::with_words(16),
+                &mut ckpt,
+                CheckpointConfig {
+                    interval: 7,
+                    max: 1000,
+                },
+            )
+            .unwrap();
+        assert_eq!(ckpt.ends, plain.ends);
+        assert!(cps.iter().any(|c| c.cta == 1), "want a mid-grid snapshot");
+
+        for cp in &cps {
+            let mut resumed = CtaEndHook::default();
+            sim.run_from(cp, &launch, &mut MemBlock::with_words(16), &mut resumed)
+                .unwrap();
+            let want: Vec<u32> = (cp.cta..3).collect();
+            assert_eq!(cta_ids(&resumed), want, "resume at retired={}", cp.retired);
+            assert_eq!(resumed.ends[..], plain.ends[cp.cta as usize..]);
+        }
+
+        // The index is linear over a 2-D grid: `cy * gx + cx`.
+        let grid = checkpoint_kernel().grid(2, 2);
+        let mut hook = CtaEndHook::default();
+        sim.run(&grid, &mut MemBlock::with_words(16), &mut hook)
+            .unwrap();
+        assert_eq!(cta_ids(&hook), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn cta_end_returning_true_stops_the_run() {
+        let launch = checkpoint_kernel();
+        let sim = Simulator::new();
+        let mut full = CtaEndHook::default();
+        sim.run(&launch, &mut MemBlock::with_words(16), &mut full)
+            .unwrap();
+        let stop = || CtaEndHook {
+            stop_after: Some(0),
+            ..CtaEndHook::default()
+        };
+        let check = |hook: &CtaEndHook, stats: RunStats, global: &MemBlock, from: u64| {
+            assert_eq!(cta_ids(hook), [0]);
+            assert_eq!(hook.ends[0], full.ends[0]);
+            assert_eq!(stats.instructions, hook.retired);
+            assert_eq!(from + hook.retired, launch.budget() - full.ends[0].2);
+            assert!(
+                global.to_vec()[4..].iter().all(|&w| w == 0),
+                "CTA 1 never ran"
+            );
+        };
+
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let stats = sim.run(&launch, &mut global, &mut hook).unwrap();
+        check(&hook, stats, &global, 0);
+
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let (stats, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut global,
+                &mut hook,
+                CheckpointConfig {
+                    interval: 7,
+                    max: 1000,
+                },
+            )
+            .unwrap();
+        check(&hook, stats, &global, 0);
+        assert!(cps.iter().all(|c| c.cta == 0), "no capture past the stop");
+
+        let cp = &cps[cps.len() / 2];
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let stats = sim.run_from(cp, &launch, &mut global, &mut hook).unwrap();
+        check(&hook, stats, &global, cp.retired);
     }
 
     #[test]

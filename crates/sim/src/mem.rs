@@ -151,6 +151,33 @@ impl MemBlock {
         out
     }
 
+    /// The words where `self` and `other` differ, as `(byte address,
+    /// ours, theirs)` in ascending address order.
+    ///
+    /// Chunks the two blocks still share are skipped unread: diffing a run
+    /// against a golden image both were cloned from costs only the chunks
+    /// either side has rewritten since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks differ in length.
+    pub fn diff<'a>(&'a self, other: &'a MemBlock) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
+        assert_eq!(self.words, other.words, "diff of blocks of different sizes");
+        self.unshared_chunks(other)
+            .filter(move |&c| self.chunks[c] != other.chunks[c])
+            .flat_map(move |c| {
+                let (ours, theirs) = (&self.chunks[c], &other.chunks[c]);
+                (0..CHUNK_WORDS)
+                    .filter(move |&i| ours[i] != theirs[i])
+                    .map(move |i| ((((c << CHUNK_SHIFT) | i) * 4) as u32, ours[i], theirs[i]))
+            })
+    }
+
+    /// Indices of the chunks `self` and `other` do not share.
+    fn unshared_chunks<'a>(&'a self, other: &'a MemBlock) -> impl Iterator<Item = usize> + 'a {
+        (0..self.chunks.len()).filter(move |&c| !Arc::ptr_eq(&self.chunks[c], &other.chunks[c]))
+    }
+
     /// Host-side helper: reads `len` words starting at byte address `addr`.
     ///
     /// # Panics
@@ -347,6 +374,43 @@ mod tests {
         assert!(m.region_eq(0, &data));
         m.clear();
         assert_eq!(m.to_vec(), vec![0; n]);
+    }
+
+    #[test]
+    fn diff_skips_shared_chunks_and_reports_every_differing_word() {
+        let n = 3 * CHUNK_WORDS + 7;
+        let mut golden = MemBlock::with_words(n);
+        golden.write_slice(0, &(0..n as u32).collect::<Vec<_>>());
+        let mut run = golden.clone();
+        assert_eq!(run.diff(&golden).count(), 0);
+        assert_eq!(
+            run.unshared_chunks(&golden).count(),
+            0,
+            "a clone shares all"
+        );
+        // Differing words in chunks 0 and 3 (the partial tail chunk), plus
+        // a store of the value already there, which detaches chunk 2
+        // without changing it.
+        let last = 4 * (n as u32 - 1);
+        run.store(8, 0xAAAA).unwrap();
+        run.store(4 * 1000, 0xBBBB).unwrap();
+        run.store(last, 0xCCCC).unwrap();
+        let same = 4 * 2 * CHUNK_WORDS as u32;
+        run.store(same, golden.load(same).unwrap()).unwrap();
+        let unshared: Vec<usize> = run.unshared_chunks(&golden).collect();
+        assert_eq!(unshared, [0, 2, 3], "chunk 1 is still shared");
+        let diff: Vec<(u32, u32, u32)> = run.diff(&golden).collect();
+        assert_eq!(
+            diff,
+            [
+                (8, 0xAAAA, 2),
+                (4000, 0xBBBB, 1000),
+                (last, 0xCCCC, n as u32 - 1)
+            ]
+        );
+        let back: Vec<(u32, u32, u32)> = golden.diff(&run).collect();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back[0], (8, 2, 0xAAAA));
     }
 
     #[test]
