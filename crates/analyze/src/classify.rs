@@ -27,7 +27,6 @@
 //! on the use, so the use executes whenever the definition retires.
 
 use fsp_isa::{KernelProgram, Opcode, PredTest, Register};
-use serde::{Deserialize, Serialize};
 
 use crate::absint::{AbsContext, AbsVal, AbsintReport, PredSet};
 use crate::ace::StaticAceReport;
@@ -43,7 +42,7 @@ pub fn absint_version() -> u64 {
 }
 
 /// Which DUE class a predicted site falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictedKind {
     /// The flipped bit provably faults an address → `Outcome::Crash`.
     Crash,
@@ -314,7 +313,7 @@ impl ClassifyReport {
 }
 
 /// Program-level classification statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassifySummary {
     /// Total static destination bits across register write-back slots.
     pub total_bits: u64,

@@ -11,12 +11,11 @@
 use fsp_inject::{Experiment, InjectionTarget};
 use fsp_sim::SimFault;
 use fsp_stats::ResilienceProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{PruningConfig, PruningPipeline, PruningPlan};
 
 /// Stopping criterion for [`PruningPipeline::run_adaptive`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Maximum per-class percentage movement still considered "stable".
     pub epsilon: f64,

@@ -8,10 +8,9 @@
 //! runs at all.
 
 use fsp_isa::{Dest, Instruction, Register};
-use serde::{Deserialize, Serialize};
 
 /// Policy for predicate (4-bit condition code) destinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredBitPolicy {
     /// Inject only the zero flag; account the other three flags as masked
     /// without running them (the paper's choice).
@@ -22,7 +21,7 @@ pub enum PredBitPolicy {
 }
 
 /// Selection of bits for one write-back slot of one instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotSelection {
     /// Bit positions to inject, *relative to the slot* (ascending).
     pub bits: Vec<u32>,
@@ -38,7 +37,7 @@ pub struct SlotSelection {
 /// With `samples_per_32 = 8` a 32-bit register contributes positions
 /// `{3, 7, 11, 15, 19, 23, 27, 31}` — two per byte-section, matching the
 /// paper's example; `0` disables sampling (all bits kept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitSampler {
     /// Sampled bits per 32-bit register; narrower registers scale down
     /// proportionally. `0` = exhaustive.

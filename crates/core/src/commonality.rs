@@ -12,10 +12,9 @@
 //! to a few thousand dynamic instructions).
 
 use fsp_sim::ThreadTrace;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the commonality stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommonalityConfig {
     /// A representative is only pruned against the reference when at least
     /// this fraction of its trace matches (the paper skips kernels whose
@@ -46,7 +45,7 @@ impl Default for CommonalityConfig {
 }
 
 /// A pairwise alignment between two traces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alignment {
     /// Matched dynamic-instruction index pairs `(idx_in_a, idx_in_b)` in
     /// increasing order on both sides.
@@ -122,7 +121,7 @@ fn hirschberg(a: &[u32], b: &[u32], a_off: u32, b_off: u32, out: &mut Vec<(u32, 
 }
 
 /// Role assigned to each representative by the commonality analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepRole {
     /// The reference thread: injected in full.
     Reference,
@@ -139,7 +138,7 @@ pub enum RepRole {
 }
 
 /// Result of the instruction-wise analysis across representatives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commonality {
     /// Index (into the representative list) of the reference thread.
     pub reference: usize,

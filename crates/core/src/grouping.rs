@@ -8,10 +8,9 @@
 //! outcomes are extrapolated to every site the group covers.
 
 use fsp_sim::KernelTrace;
-use serde::{Deserialize, Serialize};
 
 /// How CTAs are keyed into groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CtaKey {
     /// Group CTAs whose threads execute the same *total* (equivalently,
     /// mean) number of dynamic instructions — the paper's classifier.
@@ -23,7 +22,7 @@ pub enum CtaKey {
 }
 
 /// A group of threads with identical iCnt inside the representative CTA.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadGroup {
     /// The shared dynamic instruction count.
     pub icnt: u32,
@@ -40,7 +39,7 @@ pub struct ThreadGroup {
 }
 
 /// A group of CTAs with the same classifier key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtaGroup {
     /// Mean per-thread iCnt of the group's CTAs.
     pub mean_icnt_x1000: u64,
@@ -75,7 +74,7 @@ impl CtaGroup {
 }
 
 /// A representative thread together with its extrapolation totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Representative {
     /// Flat thread id of the representative.
     pub tid: u32,
@@ -101,7 +100,7 @@ impl Representative {
 }
 
 /// The full two-level grouping of a kernel launch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadGrouping {
     /// CTA groups, ordered by representative CTA id.
     pub groups: Vec<CtaGroup>,

@@ -13,10 +13,9 @@ use fsp_sim::ThreadTrace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Loop membership of one dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopTag {
     /// Static loop id (index into the [`LoopForest`]).
     pub loop_id: u32,
@@ -25,7 +24,7 @@ pub struct LoopTag {
 }
 
 /// Per-thread dynamic loop analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopTagging {
     /// Tag per dynamic instruction (`None` = not inside any loop), parallel
     /// to the trace entries.
@@ -148,7 +147,7 @@ impl LoopTagging {
 }
 
 /// Per-kernel loop statistics for Table VII.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopStats {
     /// Maximum total dynamic iterations across loops and analyzed threads
     /// (Table VII's "# loop iter.").

@@ -12,10 +12,9 @@ use std::collections::BTreeMap;
 
 use fsp_inject::{Experiment, InjectionTarget, SiteSpace, WeightedSite};
 use fsp_stats::{FiveNumber, Outcome};
-use serde::{Deserialize, Serialize};
 
 /// Per-CTA outcome statistics and the induced grouping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutcomeGrouping {
     /// The static instruction injected.
     pub target_pc: u32,

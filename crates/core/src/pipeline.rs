@@ -6,7 +6,6 @@ use fsp_inject::{Experiment, FaultSite, InjectionTarget, SiteSpace, WeightedSite
 use fsp_isa::KernelProgram;
 use fsp_sim::{KernelTrace, SimFault, LOCAL_WORDS};
 use fsp_stats::{Outcome, ResilienceProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::bits::BitSampler;
 use crate::commonality::{Commonality, CommonalityConfig, RepRole};
@@ -14,7 +13,7 @@ use crate::grouping::{CtaKey, ThreadGrouping};
 use crate::loops::{LoopStats, LoopTagging};
 
 /// Configuration of the four pruning stages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruningConfig {
     /// Stage 0: static ACE pruning. Destination bits the dataflow analysis
     /// proves can never reach kernel output are accounted masked without
@@ -26,7 +25,6 @@ pub struct PruningConfig {
     /// representative carrying the class weight. Requires launch context,
     /// so it only takes effect through [`PruningPipeline::plan_for`] or an
     /// explicit [`PruningPipeline::plan_classified`] call.
-    #[serde(default = "default_true")]
     pub absint: bool,
     /// CTA classifier for thread-wise pruning.
     pub cta_key: CtaKey,
@@ -41,15 +39,11 @@ pub struct PruningConfig {
     pub bits: BitSampler,
 }
 
-fn default_true() -> bool {
-    true
-}
-
 impl Default for PruningConfig {
     fn default() -> Self {
         PruningConfig {
             static_ace: true,
-            absint: default_true(),
+            absint: true,
             cta_key: CtaKey::MeanIcnt,
             commonality: Some(CommonalityConfig::default()),
             loop_samples: 7,
@@ -80,7 +74,7 @@ impl PruningConfig {
 
 /// Fault sites remaining after each progressive stage (the bars of
 /// Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageCounts {
     /// Equation (1): the exhaustive population.
     pub exhaustive: u64,
@@ -91,7 +85,6 @@ pub struct StageCounts {
     /// After the abstract-interpretation stage (predicted-DUE bits and
     /// equivalence-class members removed); equals `after_static` when the
     /// stage is disabled. Whole-population estimate like `after_static`.
-    #[serde(default)]
     pub after_absint: u64,
     /// After thread-wise pruning (statically-dead bits of the
     /// representatives excluded when Stage 0 is enabled).
@@ -119,7 +112,7 @@ impl StageCounts {
 
 /// The pruned campaign: weighted sites plus the bits accounted masked
 /// without injection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruningPlan {
     /// Sites to inject, with extrapolation weights.
     pub sites: Vec<WeightedSite>,
@@ -138,18 +131,14 @@ pub struct PruningPlan {
     pub static_ace: Option<AceSummary>,
     /// Exhaustive-site weight statically predicted to crash (provable
     /// OOB / misaligned access under the flip) and skipped by injection.
-    #[serde(default)]
     pub predicted_crash_weight: f64,
     /// Exhaustive-site weight statically predicted Detected (always-taken
     /// trap guard under the flip) and skipped by injection.
-    #[serde(default)]
     pub predicted_detected_weight: f64,
     /// Weight of equivalence-class member bits folded onto their class
     /// representatives (injected once, extrapolated).
-    #[serde(default)]
     pub class_redistributed_weight: f64,
     /// Abstract-interpretation classification summary (when enabled).
-    #[serde(default)]
     pub classify: Option<ClassifySummary>,
 }
 

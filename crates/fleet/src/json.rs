@@ -1,8 +1,8 @@
 //! A minimal JSON value, encoder and parser for the fleet and service
 //! wire types.
 //!
-//! The workspace's `serde` is an offline no-op stub, so the service speaks
-//! JSON through this hand-rolled module instead. It is deliberately small:
+//! The workspace has no serialization dependency, so the service speaks
+//! JSON through this hand-rolled module. It is deliberately small:
 //! one [`Json`] tree type, a strict recursive-descent parser and a compact
 //! encoder. Two properties matter to the service and are tested:
 //!

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -234,13 +235,14 @@ fn execute_lease(
     }
 
     let lost = AtomicBool::new(false);
-    let done = AtomicBool::new(false);
     let completed = std::thread::scope(|scope| {
-        // Heartbeat at a third of the TTL; tolerate transport errors (the
-        // lease then simply risks expiry, which the protocol survives).
-        scope.spawn(|| {
+        // Heartbeat at a third of the TTL until the campaign returns and
+        // drops `campaign_done`; tolerate transport errors (the lease then
+        // simply risks expiry, which the protocol survives).
+        let (campaign_done, heartbeat_stop) = mpsc::channel::<()>();
+        let lost = &lost;
+        scope.spawn(move || {
             let interval = (grant.ttl / 3).max(Duration::from_millis(20));
-            let slice = Duration::from_millis(10);
             let renew = || {
                 fsp_obs::instant("worker.heartbeat", Some(grant.lease.clone()));
                 let body = Json::obj([("worker", Json::Str(config.name.clone()))]).to_string();
@@ -257,28 +259,19 @@ fn execute_lease(
             // First renewal immediately: even a lease whose campaign
             // finishes inside the first interval lands (and traces) at
             // least one heartbeat.
-            if !renew() {
-                lost.store(true, Ordering::Relaxed);
-                return;
-            }
             loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if done.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
                 if !renew() {
                     lost.store(true, Ordering::Relaxed);
+                    return;
+                }
+                if heartbeat_stop.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
                     return;
                 }
             }
         });
 
         let sites: Vec<WeightedSite> = grant.sites.iter().map(|s| WeightedSite::from(*s)).collect();
-        let observer = LeaseObserver { lost: &lost, stop };
+        let observer = LeaseObserver { lost, stop };
         let campaign_span = fsp_obs::span("worker.campaign");
         let run = experiment.run_campaign_incremental(
             &sites,
@@ -288,7 +281,7 @@ fn execute_lease(
             &observer,
         );
         drop(campaign_span);
-        done.store(true, Ordering::Relaxed);
+        drop(campaign_done);
         if run.cancelled || !run.is_complete() {
             return None;
         }

@@ -6,10 +6,8 @@
 //! extension — the pruning methodology is fault-model-agnostic as long as
 //! the model targets destination-register sites.
 
-use serde::{Deserialize, Serialize};
-
 /// How the destination value is corrupted at the fault site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultModel {
     /// The paper's model: flip the addressed bit.
     #[default]

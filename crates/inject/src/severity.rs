@@ -7,8 +7,6 @@
 //! raises ("changes in the precision/accuracy of register values do not
 //! necessarily change the final output of an application").
 
-use serde::{Deserialize, Serialize};
-
 /// Relative L2 error between a corrupted output and the golden output,
 /// interpreting words as `f32`.
 ///
@@ -39,7 +37,7 @@ pub fn relative_l2_error(golden: &[u32], corrupted: &[u32]) -> f64 {
 }
 
 /// Severity buckets for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SeverityBucket {
     /// Relative error below 1e-6 — numerically negligible.
     Negligible,

@@ -2,7 +2,6 @@
 
 use fsp_sim::KernelTrace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single fault site: one bit of the destination register(s) of one
 /// dynamic instruction of one thread.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `bit` indexes the instruction's destination bits in write-back order:
 /// a `set.eq $p0/$r1` has 36 sites — bits `0..4` land in the predicate's
 /// condition codes, bits `4..36` in the general-purpose register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FaultSite {
     /// Grid-wide flat thread id.
     pub tid: u32,
@@ -24,7 +23,7 @@ pub struct FaultSite {
 ///
 /// Pruned campaigns inject into one representative site and account its
 /// outcome for all the sites it represents; unpruned campaigns use weight 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedSite {
     /// The site to inject.
     pub site: FaultSite,

@@ -7,13 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::instr::Opcode;
 use crate::program::KernelProgram;
 
 /// A basic block: a maximal straight-line instruction range.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicBlock {
     /// Index of the first instruction.
     pub start: usize,
@@ -32,7 +30,7 @@ impl BasicBlock {
 }
 
 /// A natural loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loop {
     /// Loop id (index into [`LoopForest::loops`]).
     pub id: usize,
@@ -58,7 +56,7 @@ impl Loop {
 }
 
 /// All natural loops of a program.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopForest {
     /// The loops, outer loops before inner ones.
     pub loops: Vec<Loop>,
@@ -98,7 +96,7 @@ impl LoopForest {
 }
 
 /// Control-flow graph over basic blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
     /// Block index per instruction.

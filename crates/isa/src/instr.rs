@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::operand::{MemRef, Operand};
 use crate::reg::Register;
 use crate::ty::ScalarType;
@@ -12,7 +10,7 @@ use crate::ty::ScalarType;
 ///
 /// The set covers everything the Rodinia/Polybench kernels of the paper
 /// need, in PTXPlus spelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Opcode {
     /// Register/memory move (PTXPlus uses `mov` with memory operands for
     /// shared-memory loads and stores).
@@ -167,7 +165,7 @@ impl fmt::Display for Opcode {
 }
 
 /// Comparison operator of a [`Opcode::Set`] instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -221,7 +219,7 @@ impl fmt::Display for CmpOp {
 /// Predicate registers hold 4 condition-code bits (zero, sign, carry,
 /// overflow) set by the most recent instruction that targeted them. A guard
 /// test reads those bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredTest {
     /// Zero flag set (last result was zero).
     Eq,
@@ -271,7 +269,7 @@ impl fmt::Display for PredTest {
 }
 
 /// Instruction guard: `@$pN.test`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Guard {
     /// Predicate register index.
     pub pred: u8,
@@ -286,7 +284,7 @@ impl fmt::Display for Guard {
 }
 
 /// A write destination: a register or a memory location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dest {
     /// Register destination.
     Reg(Register),
@@ -319,7 +317,7 @@ impl fmt::Display for Dest {
 /// Fields are public in the spirit of a passive data structure: the
 /// assembler builds them, the simulator interprets them and the pruning
 /// stages inspect them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// Optional guard (`@$p0.eq`).
     pub guard: Option<Guard>,

@@ -3,12 +3,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::reg::Register;
 
 /// Memory address space of a memory operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Device-wide global memory (`g[...]`).
     Global,
@@ -32,7 +30,7 @@ impl MemSpace {
 }
 
 /// Half-word selection on a 32-bit register operand (`$r1.lo` / `$r1.hi`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Half {
     /// Bits `[15:0]`.
     Lo,
@@ -44,7 +42,7 @@ pub enum Half {
 ///
 /// `base` may be a general-purpose or offset register; `offset` is a byte
 /// offset added to the base. Absolute addressing uses `base = None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Address space.
     pub space: MemSpace,
@@ -89,7 +87,7 @@ impl fmt::Display for MemRef {
 }
 
 /// A source operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Register source, optionally half-word selected and/or negated
     /// (`-$r3`, `$r1.lo`).

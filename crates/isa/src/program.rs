@@ -3,14 +3,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cfg::Cfg;
 use crate::instr::Instruction;
 
 /// A fully assembled kernel: a flat instruction sequence with resolved
 /// branch targets plus the label table for round-tripping back to text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProgram {
     name: String,
     instructions: Vec<Instruction>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of general-purpose registers per thread.
 pub const NUM_GPRS: u8 = 128;
 /// Number of predicate (condition-code) registers per thread.
@@ -14,7 +12,7 @@ pub const NUM_OFS: u8 = 4;
 pub const ZERO_GPR: u8 = 124;
 
 /// Special read-only registers exposing the thread's position in the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     /// `%tid.x` — thread index within the CTA, x dimension.
     TidX,
@@ -73,7 +71,7 @@ impl fmt::Display for Special {
 }
 
 /// A register reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Register {
     /// General-purpose 32-bit register `$rN`. `$r124` reads as zero and
     /// discards writes, matching PTXPlus.

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Scalar type of an operation or register value.
 ///
 /// The type determines both the arithmetic semantics of an instruction and
 /// the *bit width of its destination register* — the quantity `bit(t, i)` in
 /// Equation (1) of the paper, which defines the exhaustive fault-site count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScalarType {
     /// 4-bit predicate / condition-code value (zero, sign, carry, overflow).
     Pred,

@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::job::JobSpec;
-use crate::json::Json;
+use fsp_fleet::Json;
 
 /// Client for one fsp-serve instance.
 #[derive(Debug, Clone)]

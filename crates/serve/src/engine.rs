@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use fsp_core::{PruningConfig, PruningPipeline};
 use fsp_fleet::lease::{ChunkSpec, FleetConfig, LeaseTable, Submission};
 use fsp_fleet::wire::{OutcomeFrame, TraceFrame};
-use fsp_inject::{CampaignObserver, Experiment, InjectionTarget, WeightedSite};
+use fsp_inject::{CampaignObserver, Experiment, InjectionTarget, SiteSpace, WeightedSite};
 use fsp_protect::{
     harden, harden_and_verify, plan_protection, remap_sites, HardenConfig, PlanInputs,
     ProtectScope, ProtectedTarget,
@@ -53,9 +53,9 @@ use rand::SeedableRng;
 use crate::job::{
     CampaignMode, EarlyStopReport, JobRecord, JobResult, JobSpec, JobState, StopSpec,
 };
-use crate::json::Json;
 use crate::metrics::{mode_index, Metrics};
 use crate::store::{OutcomeKey, OutcomeStore};
+use fsp_fleet::Json;
 
 /// Log records accumulated before the engine folds them into a fresh
 /// checkpoint (bounds recovery replay time).
@@ -143,6 +143,31 @@ struct Shared {
     next_id: AtomicU64,
     campaign_workers: usize,
     leases: LeaseTable,
+}
+
+impl Shared {
+    /// Appends outcomes to the store and flushes them — once per
+    /// in-process chunk or fleet frame, so a crash loses at most the torn
+    /// tail of the record in flight — and folds the log into a checkpoint
+    /// every [`CHECKPOINT_EVERY`] records.
+    fn persist_outcomes(&self, records: impl IntoIterator<Item = (OutcomeKey, Outcome)>) {
+        let mut store = self.store.lock().expect("engine poisoned");
+        for (key, outcome) in records {
+            if let Err(e) = store.insert(key, outcome) {
+                eprintln!("fsp-serve: store append failed: {e}");
+            }
+        }
+        let flush_start = fsp_obs::now_ns();
+        let _ = store.flush();
+        self.metrics
+            .store_flush_nanos
+            .record(fsp_obs::now_ns() - flush_start);
+        if store.appended_since_checkpoint() >= CHECKPOINT_EVERY {
+            if let Err(e) = store.checkpoint() {
+                eprintln!("fsp-serve: store checkpoint failed: {e}");
+            }
+        }
+    }
 }
 
 /// The campaign orchestration engine. Open one per data directory; share
@@ -487,20 +512,7 @@ impl Engine {
                 Err(e) => eprintln!("fsp-serve: dropping malformed trace frame: {e}"),
             }
         }
-        {
-            let mut store = self.shared.store.lock().expect("engine poisoned");
-            for (key, outcome) in &frame.records {
-                if let Err(e) = store.insert(*key, *outcome) {
-                    eprintln!("fsp-serve: store append failed: {e}");
-                }
-            }
-            let flush_start = fsp_obs::now_ns();
-            let _ = store.flush();
-            self.shared
-                .metrics
-                .store_flush_nanos
-                .record(fsp_obs::now_ns() - flush_start);
-        }
+        self.shared.persist_outcomes(frame.records.iter().copied());
         let outcomes: std::collections::BTreeMap<_, _> =
             frame.records.iter().map(|(k, o)| (k.site, *o)).collect();
         match self.shared.leases.complete(lease, &frame.worker, &outcomes) {
@@ -644,7 +656,7 @@ pub fn run_local(spec: &JobSpec, workers: usize) -> Result<Json, String> {
     if spec.stop.is_some() && matches!(spec.mode, CampaignMode::Protect { .. }) {
         return Err("early stopping is not supported for protect jobs".to_owned());
     }
-    if let CampaignMode::Protect {
+    let result = if let CampaignMode::Protect {
         budget_millis,
         scope,
         samples,
@@ -655,70 +667,27 @@ pub fn run_local(spec: &JobSpec, workers: usize) -> Result<Json, String> {
             &protect_config(spec, budget_millis, scope, samples, workers),
         )
         .map_err(|e| e.to_string())?;
-        return Ok(crate::job::result_to_json(
-            spec,
-            &JobResult {
-                fingerprint: program_fingerprint(&outcome.hardened.program),
-                launch: keyed_launch_hash(&workload),
-                sites: outcome.report.samples,
-                profile: outcome.report.protected,
-                early: None,
-            },
-        ));
-    }
-    let experiment = Experiment::prepare(&workload).map_err(|e| e.to_string())?;
-    let planned = plan_sites(spec, &workload, &experiment)?;
-    if let Some(stop) = spec.stop {
-        // Same incremental engine + prefix tracker as the service path,
-        // so `--local` and served early-stopped runs agree on the exact
-        // stopping prefix and produce byte-identical result documents.
-        let stopper = Mutex::new(new_stopper(stop, &planned));
-        let run = experiment.run_campaign_incremental(
-            &planned.sites,
-            spec.model,
-            workers,
-            &[],
-            &StopObserver { stopper: &stopper },
-        );
-        let tracker = stopper.into_inner().expect("stop tracker poisoned");
-        let used = tracker.stop_len().unwrap_or(planned.sites.len());
-        let prefix: Vec<Outcome> = run.outcomes[..used]
-            .iter()
-            .map(|o| o.expect("contiguous stopped prefix is resolved"))
-            .collect();
-        let mut profile = profile_in_site_order(&planned.sites[..used], &prefix);
-        planned.settle(&mut profile);
-        let early = early_report(
-            stop,
-            &planned,
-            &planned.sites[..used],
-            &prefix,
-            tracker.stop_len().is_some(),
-        );
-        return Ok(crate::job::result_to_json(
-            spec,
-            &JobResult {
-                fingerprint: workload.fingerprint(),
-                launch: keyed_launch_hash(&workload),
-                sites: planned.sites.len(),
-                profile,
-                early: Some(early),
-            },
-        ));
-    }
-    let result = experiment.run_campaign_with(&planned.sites, spec.model, workers);
-    let mut profile = result.profile;
-    planned.settle(&mut profile);
-    Ok(crate::job::result_to_json(
-        spec,
-        &JobResult {
-            fingerprint: workload.fingerprint(),
+        JobResult {
+            fingerprint: program_fingerprint(&outcome.hardened.program),
             launch: keyed_launch_hash(&workload),
-            sites: planned.sites.len(),
-            profile,
+            sites: outcome.report.samples,
+            profile: outcome.report.protected,
             early: None,
-        },
-    ))
+        }
+    } else {
+        let experiment = Experiment::prepare(&workload).map_err(|e| e.to_string())?;
+        let runner = Runner {
+            spec,
+            workers,
+            job: None,
+        };
+        match runner.run_planned(&workload, &experiment) {
+            Ok(result) => result,
+            Err(RunEnd::Failed(e)) => return Err(e),
+            Err(_) => unreachable!("only served jobs are interrupted or cancelled"),
+        }
+    };
+    Ok(crate::job::result_to_json(spec, &result))
 }
 
 /// The [`HardenConfig`] equivalent of a protect job spec. The engine path
@@ -755,6 +724,18 @@ struct PlannedCampaign {
 }
 
 impl PlannedCampaign {
+    /// A plan that injects `sites` as they are, settling nothing
+    /// statically.
+    fn unpruned(sites: Vec<WeightedSite>) -> PlannedCampaign {
+        PlannedCampaign {
+            sites,
+            assumed_masked: 0.0,
+            predicted_crash: 0.0,
+            predicted_detected: 0.0,
+            stages: None,
+        }
+    }
+
     /// The statically settled mass as per-class certain weight in
     /// `Outcome::code()` order, for streaming estimators.
     fn certain(&self) -> [f64; 5] {
@@ -786,6 +767,17 @@ impl PlannedCampaign {
             profile.record_weighted(Outcome::Detected, self.predicted_detected);
         }
     }
+}
+
+/// `samples` sites drawn uniformly from `space` with the spec's seed —
+/// the plan of a sampled job and the baseline of a protect job.
+fn sample_sites(space: &SiteSpace, samples: usize, seed: u64) -> Vec<WeightedSite> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    space
+        .sample_many(samples, &mut rng)
+        .into_iter()
+        .map(WeightedSite::from)
+        .collect()
 }
 
 /// Deterministically expands a spec into its weighted site list and
@@ -820,18 +812,9 @@ fn plan_sites(
         }
         CampaignMode::Sampled { samples } => {
             let space = experiment.site_space(0..workload.launch().num_threads());
-            let mut rng = StdRng::seed_from_u64(spec.seed);
-            Ok(PlannedCampaign {
-                sites: space
-                    .sample_many(samples, &mut rng)
-                    .into_iter()
-                    .map(WeightedSite::from)
-                    .collect(),
-                assumed_masked: 0.0,
-                predicted_crash: 0.0,
-                predicted_detected: 0.0,
-                stages: None,
-            })
+            Ok(PlannedCampaign::unpruned(sample_sites(
+                &space, samples, spec.seed,
+            )))
         }
         // Protect jobs run two campaigns against two programs; both
         // callers branch to their protect paths before planning sites.
@@ -846,49 +829,6 @@ fn new_stopper(stop: StopSpec, planned: &PlannedCampaign) -> EarlyStop {
         planned.sites.iter().map(|ws| ws.weight).collect(),
         planned.certain(),
     )
-}
-
-/// Recomputes the early-stop report over the used plan prefix — a pure
-/// function of the prefix outcomes, so local, fleet and resumed runs
-/// agree byte-for-byte.
-fn early_report(
-    stop: StopSpec,
-    planned: &PlannedCampaign,
-    sites: &[WeightedSite],
-    outcomes: &[Outcome],
-    stopped: bool,
-) -> EarlyStopReport {
-    let mut est = StreamEstimator::with_certain(planned.certain());
-    for (ws, o) in sites.iter().zip(outcomes) {
-        est.record_weighted(*o, ws.weight);
-    }
-    EarlyStopReport {
-        stopped,
-        sites_injected: sites.len(),
-        achieved_margin: est.achieved_margin(stop.confidence),
-    }
-}
-
-/// Observer for `run_local` early-stopped campaigns: feeds the prefix
-/// tracker and cancels the worker pool once the rule fires.
-struct StopObserver<'a> {
-    stopper: &'a Mutex<EarlyStop>,
-}
-
-impl CampaignObserver for StopObserver<'_> {
-    fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
-        let mut tracker = self.stopper.lock().expect("stop tracker poisoned");
-        for (&i, &o) in indices.iter().zip(outcomes) {
-            tracker.resolve(i, o);
-        }
-    }
-
-    fn should_cancel(&self) -> bool {
-        self.stopper
-            .lock()
-            .expect("stop tracker poisoned")
-            .should_stop()
-    }
 }
 
 fn persist(jobs_dir: &std::path::Path, record: &JobRecord) {
@@ -924,8 +864,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Why a job's campaign ended without a result.
 enum RunEnd {
-    Completed(JobResult),
     /// Stopped by engine shutdown: stays `running` on disk, resumes on
     /// the next open.
     Interrupted,
@@ -955,7 +895,13 @@ fn run_job(shared: &Shared, id: &str) {
         .insert(id.to_owned(), Arc::clone(&cancel));
     let end = {
         let _job = fsp_obs::span_labeled("serve.job", format!("{id} {}", spec.kernel));
-        execute(shared, id, &spec, fleet, &cancel)
+        let job = Job {
+            shared,
+            id,
+            cancel: &cancel,
+            fleet,
+        };
+        execute(job, &spec)
     };
     shared
         .cancel_flags
@@ -967,7 +913,7 @@ fn run_job(shared: &Shared, id: &str) {
         return;
     };
     match end {
-        RunEnd::Completed(result) => {
+        Ok(result) => {
             record.state = JobState::Completed;
             // An early-stopped campaign legitimately finishes with
             // unresolved tail sites; keep its true progress count.
@@ -979,12 +925,12 @@ fn run_job(shared: &Shared, id: &str) {
             shared.metrics.jobs_completed.inc();
             shared.metrics.jobs_completed_by_mode[mode_index(spec.mode.mode_name())].inc();
         }
-        RunEnd::Interrupted => return, // stays `running` on disk
-        RunEnd::Cancelled => {
+        Err(RunEnd::Interrupted) => return, // stays `running` on disk
+        Err(RunEnd::Cancelled) => {
             record.state = JobState::Cancelled;
             shared.metrics.jobs_cancelled.inc();
         }
-        RunEnd::Failed(error) => {
+        Err(RunEnd::Failed(error)) => {
             record.state = JobState::Failed;
             record.error = Some(error);
             shared.metrics.jobs_failed.inc();
@@ -993,14 +939,15 @@ fn run_job(shared: &Shared, id: &str) {
     persist(&shared.jobs_dir, record);
 }
 
-#[allow(clippy::too_many_lines)]
-fn execute(shared: &Shared, id: &str, spec: &JobSpec, fleet: bool, cancel: &AtomicBool) -> RunEnd {
-    let Some(workload) = fsp_workloads::by_id(&spec.kernel, Scale::Eval) else {
-        return RunEnd::Failed(format!("unknown kernel `{}`", spec.kernel));
-    };
-    let experiment = match Experiment::prepare(&workload) {
-        Ok(e) => e,
-        Err(e) => return RunEnd::Failed(format!("golden run failed: {e}")),
+fn execute(job: Job<'_>, spec: &JobSpec) -> Result<JobResult, RunEnd> {
+    let workload = fsp_workloads::by_id(&spec.kernel, Scale::Eval)
+        .ok_or_else(|| RunEnd::Failed(format!("unknown kernel `{}`", spec.kernel)))?;
+    let experiment = Experiment::prepare(&workload)
+        .map_err(|e| RunEnd::Failed(format!("golden run failed: {e}")))?;
+    let runner = Runner {
+        spec,
+        workers: job.shared.campaign_workers,
+        job: Some(job),
     };
     if let CampaignMode::Protect {
         budget_millis,
@@ -1008,354 +955,468 @@ fn execute(shared: &Shared, id: &str, spec: &JobSpec, fleet: bool, cancel: &Atom
         samples,
     } = spec.mode
     {
-        return execute_protect(
-            shared,
-            id,
-            spec,
-            cancel,
-            &workload,
-            &experiment,
-            budget_millis,
-            scope,
-            samples,
+        return runner.run_protect(&workload, &experiment, budget_millis, scope, samples);
+    }
+    runner.run_planned(&workload, &experiment)
+}
+
+/// The served job a campaign reports to: its injected outcomes go to the
+/// store, its progress to the job record.
+struct Job<'a> {
+    shared: &'a Shared,
+    id: &'a str,
+    cancel: &'a AtomicBool,
+    /// Run store misses on the worker fleet instead of in-process.
+    fleet: bool,
+}
+
+impl Job<'_> {
+    fn update(&self, f: impl FnOnce(&mut JobRecord)) {
+        let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
+        if let Some(record) = jobs.get_mut(self.id) {
+            f(record);
+        }
+    }
+
+    /// Resets the job's progress counters for a (re)run. Resumed jobs
+    /// reload stale `done`/`partial` values from disk; the store lookups
+    /// of the campaigns that follow re-derive them.
+    fn reset_progress(&self, total: usize, settled: [f64; 3]) {
+        self.update(|record| {
+            record.total = total;
+            record.done = 0;
+            record.cache_hits = 0;
+            record.partial = ResilienceProfile::new();
+            record.outcome_counts = [0; 5];
+            record.sum_w2 = 0.0;
+            record.settled = settled;
+            persist(&self.shared.jobs_dir, record);
+        });
+    }
+
+    /// Runs a campaign's misses on the worker fleet: publishes them as
+    /// batch-aligned chunk leases, then hands every delivered chunk to
+    /// `accounting` until all are in or it asks to stop, when the job's
+    /// remaining leases are retracted (workers still holding one see
+    /// their submission answered as stale). Delivered chunks are already
+    /// durable: [`Engine::fleet_submit_outcomes`] persists a frame before
+    /// it marks the lease done.
+    ///
+    /// Returns the outcome vector, the sites delivered, and whether the
+    /// campaign stopped before every chunk came in.
+    fn run_on_fleet(
+        &self,
+        spec: &JobSpec,
+        threads_per_cta: u32,
+        mut outcomes: Vec<Option<Outcome>>,
+        accounting: &Accounting<'_>,
+    ) -> (Vec<Option<Outcome>>, usize, bool) {
+        let sites = accounting.sites;
+        // A sampled plan may repeat a site; every index takes its outcome
+        // from its own chunk's map, so repeats are harmless.
+        let miss: Vec<usize> = (0..sites.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
+        let chunk_len = self.shared.leases.config().chunk_sites.max(1);
+        let chunks = batch_aligned_chunks(sites, miss, chunk_len, threads_per_cta);
+        let mut unpublished = Some(
+            chunks
+                .iter()
+                .enumerate()
+                .map(|(chunk_idx, indices)| {
+                    let key = accounting.keys[indices[0]];
+                    ChunkSpec {
+                        job: self.id.to_owned(),
+                        chunk_idx,
+                        kernel: spec.kernel.clone(),
+                        model: spec.model,
+                        fingerprint: key.fingerprint,
+                        launch: key.launch,
+                        sites: indices.iter().map(|&i| sites[i].site).collect(),
+                    }
+                })
+                .collect::<Vec<_>>(),
         );
-    }
-    let planned = match plan_sites(spec, &workload, &experiment) {
-        Ok(planned) => planned,
-        Err(e) => return RunEnd::Failed(e),
-    };
-    if let Some(stages) = &planned.stages {
-        shared
-            .metrics
-            .record_plan(stages, planned.predicted_crash, planned.predicted_detected);
-    }
-    let sites = &planned.sites;
-    let fingerprint = workload.fingerprint();
-    let launch = keyed_launch_hash(&workload);
-    reset_progress(shared, id, sites.len(), planned.settled3());
-    let stopper = spec
-        .stop
-        .map(|stop| Mutex::new(new_stopper(stop, &planned)));
-    let campaign = if fleet {
-        fleet_campaign_through_store(
-            shared,
-            id,
-            spec,
-            sites,
-            fingerprint,
-            launch,
-            workload.launch().threads_per_cta(),
-            cancel,
-            stopper.as_ref(),
-        )
-    } else {
-        campaign_through_store(
-            shared,
-            id,
-            spec,
-            &experiment,
-            sites,
-            fingerprint,
-            launch,
-            cancel,
-            stopper.as_ref(),
-        )
-    };
-    let outcomes = match campaign {
-        Ok(outcomes) => outcomes,
-        Err(end) => return end,
-    };
-    // Early-stopped campaigns score only the contiguous stopped prefix in
-    // plan order — the deterministic basis that makes reruns and
-    // local/fleet placements byte-identical. Without a stopper the prefix
-    // is the whole plan.
-    let stopped_at = stopper
-        .as_ref()
-        .and_then(|s| s.lock().expect("stop tracker poisoned").stop_len());
-    let used = stopped_at.unwrap_or(sites.len());
-    let prefix: Vec<Outcome> = outcomes[..used]
-        .iter()
-        .map(|o| o.expect("contiguous resolved prefix"))
-        .collect();
-    // Final profile: recomputed over the complete outcome vector in site
-    // order, so cold, warm and resumed runs agree bit-for-bit.
-    let mut profile = profile_in_site_order(&sites[..used], &prefix);
-    planned.settle(&mut profile);
-    let early = spec.stop.map(|stop| {
-        early_report(
-            stop,
-            &planned,
-            &sites[..used],
-            &prefix,
-            stopped_at.is_some(),
-        )
-    });
-    if early.is_some() {
-        // Cancellation is best-effort, so workers may overshoot the
-        // stopped prefix; re-baseline the record's streaming counters to
-        // the scored prefix so the progress document of a finished job
-        // agrees with its result document.
-        let mut counts = [0u64; 5];
-        let mut sum_w2 = 0.0;
-        for (ws, o) in sites[..used].iter().zip(&prefix) {
-            counts[o.code() as usize] += 1;
-            sum_w2 += ws.weight * ws.weight;
-        }
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.outcome_counts = counts;
-            record.sum_w2 = sum_w2;
-            if stopped_at.is_some() {
-                record.done = used;
-                record.cache_hits = record.cache_hits.min(used);
+        let mut remaining = chunks.len();
+        let mut delivered_sites = 0;
+        while remaining > 0 {
+            if accounting.should_cancel() {
+                self.shared.leases.retract_job(self.id);
+                return (outcomes, delivered_sites, true);
             }
-        }
-    }
-    RunEnd::Completed(JobResult {
-        fingerprint,
-        launch,
-        sites: sites.len(),
-        profile,
-        early,
-    })
-}
-
-/// The engine path of a protect job, mirroring
-/// [`fsp_protect::harden_and_verify`] with both campaigns routed through
-/// the outcome store: the baseline campaign shares cache entries with
-/// plain sampled jobs of the same kernel, and the re-injection campaign
-/// keys its outcomes under the *hardened* program's fingerprint, so
-/// resubmitting the same protect spec is a pure warm read.
-#[allow(clippy::too_many_arguments)]
-fn execute_protect(
-    shared: &Shared,
-    id: &str,
-    spec: &JobSpec,
-    cancel: &AtomicBool,
-    workload: &fsp_workloads::Workload,
-    experiment: &Experiment<'_, fsp_workloads::Workload>,
-    budget_millis: u32,
-    scope: ProtectScope,
-    samples: usize,
-) -> RunEnd {
-    let launch = workload.launch();
-    let space = experiment.site_space(0..launch.num_threads());
-    if space.total_sites() == 0 {
-        return RunEnd::Failed("kernel has no fault sites".to_owned());
-    }
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let sites: Vec<WeightedSite> = space
-        .sample_many(samples, &mut rng)
-        .into_iter()
-        .map(WeightedSite::from)
-        .collect();
-    let launch_hash = keyed_launch_hash(workload);
-    // Two campaigns of equal site count: baseline, then re-injection.
-    reset_progress(shared, id, sites.len() * 2, [0.0; 3]);
-    let baseline_outcomes: Vec<Outcome> = match campaign_through_store(
-        shared,
-        id,
-        spec,
-        experiment,
-        &sites,
-        workload.fingerprint(),
-        launch_hash,
-        cancel,
-        None,
-    ) {
-        Ok(outcomes) => outcomes
-            .into_iter()
-            .map(|o| o.expect("uncancelled campaign resolves every site"))
-            .collect(),
-        Err(end) => return end,
-    };
-
-    // Plan and transform. Planning is deterministic in (spec, store
-    // outcomes), so a resumed or resubmitted job re-derives the same
-    // hardened program and hits the same store keys.
-    let program = launch.program();
-    let plan = plan_protection(
-        &PlanInputs {
-            program,
-            space: &space,
-            sites: &sites,
-            outcomes: &baseline_outcomes,
-            ace: None,
-            classify: None,
-        },
-        scope,
-        f64::from(budget_millis) / 1000.0,
-    );
-    let hardened = match harden(program, &plan.selected_pcs) {
-        Ok(hardened) => hardened,
-        Err(e) => return RunEnd::Failed(format!("hardening failed: {e}")),
-    };
-    let protected_target = ProtectedTarget::new(workload, hardened.program.clone());
-    let protected_exp = match Experiment::prepare(&protected_target) {
-        Ok(e) => e,
-        Err(e) => return RunEnd::Failed(format!("hardened golden run failed: {e}")),
-    };
-    if protected_exp.golden() != experiment.golden() {
-        return RunEnd::Failed("hardened kernel broke output transparency".to_owned());
-    }
-    let tids: BTreeSet<u32> = sites.iter().map(|ws| ws.site.tid).collect();
-    let protected_space = protected_exp.site_space(tids);
-    let mapped = remap_sites(&hardened, &space, &protected_space, &sites);
-
-    let outcomes: Vec<Outcome> = match campaign_through_store(
-        shared,
-        id,
-        spec,
-        &protected_exp,
-        &mapped,
-        program_fingerprint(&hardened.program),
-        launch_hash,
-        cancel,
-        None,
-    ) {
-        Ok(outcomes) => outcomes
-            .into_iter()
-            .map(|o| o.expect("uncancelled campaign resolves every site"))
-            .collect(),
-        Err(end) => return end,
-    };
-    RunEnd::Completed(JobResult {
-        fingerprint: program_fingerprint(&hardened.program),
-        launch: launch_hash,
-        sites: sites.len(),
-        profile: profile_in_site_order(&mapped, &outcomes),
-        early: None,
-    })
-}
-
-/// Resets a job's progress counters for a (re)run. Resumed jobs reload
-/// stale `done`/`partial` values from disk; the store replay below
-/// re-derives them.
-fn reset_progress(shared: &Shared, id: &str, total: usize, settled: [f64; 3]) {
-    let mut jobs = shared.jobs.lock().expect("engine poisoned");
-    if let Some(record) = jobs.get_mut(id) {
-        record.total = total;
-        record.done = 0;
-        record.cache_hits = 0;
-        record.partial = ResilienceProfile::new();
-        record.outcome_counts = [0; 5];
-        record.sum_w2 = 0.0;
-        record.settled = settled;
-        persist(&shared.jobs_dir, record);
-    }
-}
-
-/// Runs one campaign with the store as cache: resolves hits under the
-/// given program fingerprint, injects only the misses (persisting each
-/// chunk), and returns the complete outcome vector in site order.
-/// Progress is *added* to the job record so a job can chain campaigns.
-///
-/// `Err` carries the terminal [`RunEnd`] when the campaign was stopped.
-#[allow(clippy::too_many_arguments)]
-fn campaign_through_store<T: InjectionTarget>(
-    shared: &Shared,
-    id: &str,
-    spec: &JobSpec,
-    experiment: &Experiment<'_, T>,
-    sites: &[WeightedSite],
-    fingerprint: u64,
-    launch: u64,
-    cancel: &AtomicBool,
-    stopper: Option<&Mutex<EarlyStop>>,
-) -> Result<Vec<Option<Outcome>>, RunEnd> {
-    let _campaign = fsp_obs::span_labeled("serve.campaign", id.to_owned());
-    let keys: Vec<OutcomeKey> = sites
-        .iter()
-        .map(|ws| OutcomeKey::new(fingerprint, launch, spec.model, ws.site))
-        .collect();
-
-    // Drain the store: anything this service ever injected for these keys
-    // is a hit; only the misses run.
-    let resolved: Vec<Option<Outcome>> = {
-        let store = shared.store.lock().expect("engine poisoned");
-        keys.iter().map(|k| store.get(k)).collect()
-    };
-    let hits = resolved.iter().filter(|o| o.is_some()).count();
-    {
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.done += hits;
-            record.cache_hits += hits;
-            for (ws, o) in sites.iter().zip(&resolved) {
-                if let Some(o) = o {
-                    record.partial.record_weighted(*o, ws.weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += ws.weight * ws.weight;
-                    shared.metrics.job_outcome_total[o.code() as usize].inc();
+            if let Some(specs) = unpublished.take() {
+                self.shared.leases.publish(specs);
+            }
+            let delivered = self.shared.leases.take_completed(self.id);
+            if delivered.is_empty() {
+                self.shared.leases.wait_progress(Duration::from_millis(200));
+                continue;
+            }
+            for (chunk_idx, map) in delivered {
+                let indices = &chunks[chunk_idx];
+                let chunk: Vec<Outcome> = indices
+                    .iter()
+                    .map(|&i| {
+                        *map.get(&sites[i].site)
+                            .expect("lease completion covers every chunk site")
+                    })
+                    .collect();
+                for (&i, &o) in indices.iter().zip(&chunk) {
+                    outcomes[i] = Some(o);
                 }
+                accounting.on_chunk(indices, &chunk);
+                delivered_sites += indices.len();
+                remaining -= 1;
             }
-            persist(&shared.jobs_dir, record);
+            self.shared.leases.prune_delivered(self.id);
         }
+        (outcomes, delivered_sites, false)
     }
-    if let Some(stopper) = stopper {
-        let mut tracker = stopper.lock().expect("stop tracker poisoned");
-        for (i, o) in resolved.iter().enumerate() {
-            if let Some(o) = o {
-                tracker.resolve(i, *o);
+}
+
+/// The one campaign driver behind [`run_local`], served in-process jobs,
+/// fleet jobs and both campaigns of a protect job. It resolves known
+/// outcomes from the store, runs the misses, accounts every outcome
+/// through one [`Accounting`] observer and scores the result. The only
+/// per-placement difference is how the misses run:
+/// [`Experiment::run_campaign_incremental`] on `workers` threads, or
+/// [`Job::run_on_fleet`] for a fleet job. With no `job` (`run_local`)
+/// there is no store and no record: every site is a miss run in-process.
+struct Runner<'a> {
+    spec: &'a JobSpec,
+    workers: usize,
+    job: Option<Job<'a>>,
+}
+
+impl Runner<'_> {
+    /// Plans a sampled or pruned spec and runs its campaign.
+    fn run_planned(
+        &self,
+        workload: &fsp_workloads::Workload,
+        experiment: &Experiment<'_, fsp_workloads::Workload>,
+    ) -> Result<JobResult, RunEnd> {
+        let planned = plan_sites(self.spec, workload, experiment).map_err(RunEnd::Failed)?;
+        if let Some(job) = &self.job {
+            if let Some(stages) = &planned.stages {
+                job.shared.metrics.record_plan(
+                    stages,
+                    planned.predicted_crash,
+                    planned.predicted_detected,
+                );
+            }
+            job.reset_progress(planned.sites.len(), planned.settled3());
+        }
+        let fingerprint = workload.fingerprint();
+        let launch = keyed_launch_hash(workload);
+        let scored = self.campaign(experiment, &planned, fingerprint, launch)?;
+        Ok(JobResult {
+            fingerprint,
+            launch,
+            sites: planned.sites.len(),
+            profile: scored.profile,
+            early: scored.early,
+        })
+    }
+
+    /// The engine path of a protect job, mirroring
+    /// [`fsp_protect::harden_and_verify`] with both campaigns run by
+    /// [`Runner::campaign`]: the baseline campaign shares cache entries
+    /// with plain sampled jobs of the same kernel, and the re-injection
+    /// campaign keys its outcomes under the *hardened* program's
+    /// fingerprint, so resubmitting the same protect spec is a pure warm
+    /// read.
+    fn run_protect(
+        &self,
+        workload: &fsp_workloads::Workload,
+        experiment: &Experiment<'_, fsp_workloads::Workload>,
+        budget_millis: u32,
+        scope: ProtectScope,
+        samples: usize,
+    ) -> Result<JobResult, RunEnd> {
+        let launch = workload.launch();
+        let space = experiment.site_space(0..launch.num_threads());
+        if space.total_sites() == 0 {
+            return Err(RunEnd::Failed("kernel has no fault sites".to_owned()));
+        }
+        let baseline = PlannedCampaign::unpruned(sample_sites(&space, samples, self.spec.seed));
+        let launch_hash = keyed_launch_hash(workload);
+        // Two campaigns of equal site count: baseline, then re-injection.
+        if let Some(job) = &self.job {
+            job.reset_progress(baseline.sites.len() * 2, [0.0; 3]);
+        }
+        let baseline_outcomes = self
+            .campaign(experiment, &baseline, workload.fingerprint(), launch_hash)?
+            .outcomes;
+
+        // Plan and transform. Planning is deterministic in (spec, store
+        // outcomes), so a resumed or resubmitted job re-derives the same
+        // hardened program and hits the same store keys.
+        let program = launch.program();
+        let plan = plan_protection(
+            &PlanInputs {
+                program,
+                space: &space,
+                sites: &baseline.sites,
+                outcomes: &baseline_outcomes,
+                ace: None,
+                classify: None,
+            },
+            scope,
+            f64::from(budget_millis) / 1000.0,
+        );
+        let hardened = harden(program, &plan.selected_pcs)
+            .map_err(|e| RunEnd::Failed(format!("hardening failed: {e}")))?;
+        let protected_target = ProtectedTarget::new(workload, hardened.program.clone());
+        let protected_exp = Experiment::prepare(&protected_target)
+            .map_err(|e| RunEnd::Failed(format!("hardened golden run failed: {e}")))?;
+        if protected_exp.golden() != experiment.golden() {
+            return Err(RunEnd::Failed(
+                "hardened kernel broke output transparency".to_owned(),
+            ));
+        }
+        let tids: BTreeSet<u32> = baseline.sites.iter().map(|ws| ws.site.tid).collect();
+        let protected_space = protected_exp.site_space(tids);
+        let verify = PlannedCampaign::unpruned(remap_sites(
+            &hardened,
+            &space,
+            &protected_space,
+            &baseline.sites,
+        ));
+        let fingerprint = program_fingerprint(&hardened.program);
+        let scored = self.campaign(&protected_exp, &verify, fingerprint, launch_hash)?;
+        Ok(JobResult {
+            fingerprint,
+            launch: launch_hash,
+            sites: baseline.sites.len(),
+            profile: scored.profile,
+            early: None,
+        })
+    }
+
+    /// Runs one campaign: resolves store hits under `fingerprint` and
+    /// `launch`, runs only the misses and scores the outcome vector.
+    /// Progress is *added* to the job record, so a job can chain
+    /// campaigns.
+    ///
+    /// `Err` carries the terminal [`RunEnd`] when the job was stopped.
+    fn campaign<T: InjectionTarget>(
+        &self,
+        experiment: &Experiment<'_, T>,
+        planned: &PlannedCampaign,
+        fingerprint: u64,
+        launch: u64,
+    ) -> Result<Scored, RunEnd> {
+        let job = self.job.as_ref();
+        let _campaign = job.map(|job| {
+            let name = if job.fleet {
+                "serve.fleet_campaign"
+            } else {
+                "serve.campaign"
+            };
+            fsp_obs::span_labeled(name, job.id.to_owned())
+        });
+        let sites = &planned.sites;
+        let keys: Vec<OutcomeKey> = sites
+            .iter()
+            .map(|ws| OutcomeKey::new(fingerprint, launch, self.spec.model, ws.site))
+            .collect();
+        // Anything this service ever injected under these keys is a hit;
+        // only the misses run.
+        let resolved: Vec<Option<Outcome>> = match job {
+            Some(job) => {
+                let store = job.shared.store.lock().expect("engine poisoned");
+                keys.iter().map(|k| store.get(k)).collect()
+            }
+            None => vec![None; sites.len()],
+        };
+        let accounting = Accounting {
+            job,
+            sites,
+            keys: &keys,
+            stopper: self
+                .spec
+                .stop
+                .map(|stop| Mutex::new(new_stopper(stop, planned))),
+        };
+        let (hit_indices, hits): (Vec<usize>, Vec<Outcome>) = resolved
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.map(|o| (i, o)))
+            .unzip();
+        accounting.record(&hit_indices, &hits);
+        if let Some(job) = job {
+            job.update(|record| record.cache_hits += hits.len());
+        }
+
+        let started = Instant::now();
+        let (outcomes, injected, cancelled) = match job {
+            Some(job) if job.fleet => job.run_on_fleet(
+                self.spec,
+                experiment.target().launch().threads_per_cta(),
+                resolved,
+                &accounting,
+            ),
+            _ => {
+                let run = experiment.run_campaign_incremental(
+                    sites,
+                    self.spec.model,
+                    self.workers,
+                    &resolved,
+                    &accounting,
+                );
+                if let Some(job) = job {
+                    job.shared.metrics.record_fast_path(
+                        run.checkpoint_hits,
+                        run.skipped_instructions,
+                        run.early_converged,
+                    );
+                }
+                (run.outcomes, run.injected, run.cancelled)
+            }
+        };
+        if let Some(job) = job {
+            job.shared.metrics.record_campaign(
+                mode_index(self.spec.mode.mode_name()),
+                hits.len() as u64,
+                injected as u64,
+                started.elapsed().as_nanos() as u64,
+            );
+            if cancelled && job.shared.shutdown.load(Ordering::Relaxed) {
+                return Err(RunEnd::Interrupted);
+            }
+            if cancelled && job.cancel.load(Ordering::Relaxed) {
+                return Err(RunEnd::Cancelled);
+            }
+        }
+        // Any other cancellation came from the early-stop rule: the
+        // contiguous resolved prefix is complete, which is all `score`
+        // reads.
+        Ok(accounting.score(self.spec.stop, planned, &outcomes))
+    }
+}
+
+/// A scored campaign: the outcomes of its scored prefix in plan order,
+/// their profile with the static weight settled, and the early-stop
+/// report when a rule was armed.
+struct Scored {
+    outcomes: Vec<Outcome>,
+    profile: ResilienceProfile,
+    early: Option<EarlyStopReport>,
+}
+
+/// Records every resolved outcome of one campaign — store hit, in-process
+/// chunk or fleet delivery — on the job record (`done`, `partial`,
+/// `outcome_counts`, `sum_w2`, `fsp_job_outcome_total`) and on the
+/// early-stop tracker, and tells whichever runs the misses when to stop.
+struct Accounting<'a> {
+    job: Option<&'a Job<'a>>,
+    sites: &'a [WeightedSite],
+    keys: &'a [OutcomeKey],
+    stopper: Option<Mutex<EarlyStop>>,
+}
+
+impl Accounting<'_> {
+    fn record(&self, indices: &[usize], outcomes: &[Outcome]) {
+        if let Some(job) = self.job {
+            job.update(|record| {
+                for (&i, &o) in indices.iter().zip(outcomes) {
+                    let weight = self.sites[i].weight;
+                    record.done += 1;
+                    record.partial.record_weighted(o, weight);
+                    record.outcome_counts[o.code() as usize] += 1;
+                    record.sum_w2 += weight * weight;
+                    job.shared.metrics.job_outcome_total[o.code() as usize].inc();
+                }
+            });
+        }
+        if let Some(stopper) = &self.stopper {
+            let mut tracker = stopper.lock().expect("stop tracker poisoned");
+            for (&i, &o) in indices.iter().zip(outcomes) {
+                tracker.resolve(i, o);
             }
         }
     }
 
-    let observer = EngineObserver {
-        shared,
-        id,
-        keys: &keys,
-        sites,
-        cancel,
-        stopper,
-    };
-    let started = Instant::now();
-    let run = experiment.run_campaign_incremental(
-        sites,
-        spec.model,
-        shared.campaign_workers,
-        &resolved,
-        &observer,
-    );
-    shared.metrics.record_campaign(
-        mode_index(spec.mode.mode_name()),
-        hits as u64,
-        run.injected as u64,
-        started.elapsed().as_nanos() as u64,
-    );
-    shared.metrics.record_fast_path(
-        run.checkpoint_hits,
-        run.skipped_instructions,
-        run.early_converged,
-    );
-    {
-        let mut store = shared.store.lock().expect("engine poisoned");
-        let flush_start = fsp_obs::now_ns();
-        let _ = store.flush();
-        shared
-            .metrics
-            .store_flush_nanos
-            .record(fsp_obs::now_ns() - flush_start);
-        if store.appended_since_checkpoint() >= CHECKPOINT_EVERY {
-            if let Err(e) = store.checkpoint() {
-                eprintln!("fsp-serve: store checkpoint failed: {e}");
+    /// Cuts the scored prefix — the contiguous stopped prefix in plan
+    /// order when the rule fired, else the whole plan — and scores it in
+    /// site order, so cold, warm, resumed and fleet runs agree bit for
+    /// bit. Settles the static weight and reports the stop.
+    ///
+    /// Cancellation is best-effort, so workers may overshoot the stopped
+    /// prefix: an early-stop-armed job's record is re-baselined to the
+    /// scored prefix, so its progress document agrees with its result.
+    fn score(
+        self,
+        stop: Option<StopSpec>,
+        planned: &PlannedCampaign,
+        outcomes: &[Option<Outcome>],
+    ) -> Scored {
+        let stopped_at = self
+            .stopper
+            .and_then(|s| s.into_inner().expect("stop tracker poisoned").stop_len());
+        let used = stopped_at.unwrap_or(planned.sites.len());
+        let sites = &planned.sites[..used];
+        let prefix: Vec<Outcome> = outcomes[..used]
+            .iter()
+            .map(|o| o.expect("contiguous resolved prefix"))
+            .collect();
+        let mut profile = ResilienceProfile::new();
+        for (ws, o) in sites.iter().zip(&prefix) {
+            profile.record_weighted(*o, ws.weight);
+        }
+        planned.settle(&mut profile);
+        let early = stop.map(|stop| {
+            let mut est = StreamEstimator::with_certain(planned.certain());
+            for (ws, o) in sites.iter().zip(&prefix) {
+                est.record_weighted(*o, ws.weight);
             }
+            if let Some(job) = self.job {
+                job.update(|record| {
+                    record.outcome_counts = est.counts();
+                    record.sum_w2 = est.sum_w2();
+                    if stopped_at.is_some() {
+                        record.done = used;
+                        record.cache_hits = record.cache_hits.min(used);
+                    }
+                });
+            }
+            EarlyStopReport {
+                stopped: stopped_at.is_some(),
+                sites_injected: used,
+                achieved_margin: est.achieved_margin(stop.confidence),
+            }
+        });
+        Scored {
+            outcomes: prefix,
+            profile,
+            early,
         }
     }
-    if run.cancelled {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return Err(RunEnd::Interrupted);
+}
+
+impl CampaignObserver for Accounting<'_> {
+    fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
+        // Durability first. In-process chunks are fresh injections (hits
+        // are never re-reported); fleet chunks were persisted on delivery.
+        if let Some(job) = self.job.filter(|job| !job.fleet) {
+            job.shared.persist_outcomes(
+                indices
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(&i, &o)| (self.keys[i], o)),
+            );
         }
-        if cancel.load(Ordering::Relaxed) {
-            return Err(RunEnd::Cancelled);
-        }
-        // Cancelled by the stop tracker: the contiguous resolved prefix
-        // is complete, which is all the caller scores.
-        debug_assert!(
-            stopper.is_some_and(|s| s.lock().expect("stop tracker poisoned").should_stop())
-        );
+        self.record(indices, outcomes);
     }
-    Ok(run.outcomes)
+
+    fn should_cancel(&self) -> bool {
+        self.job.is_some_and(|job| {
+            job.shared.shutdown.load(Ordering::Relaxed) || job.cancel.load(Ordering::Relaxed)
+        }) || self
+            .stopper
+            .as_ref()
+            .is_some_and(|s| s.lock().expect("stop tracker poisoned").should_stop())
+    }
 }
 
 /// Shards miss indices into lease chunks aligned to batch groups. The
@@ -1396,236 +1457,8 @@ fn batch_aligned_chunks(
     chunks
 }
 
-/// Runs one campaign on the worker fleet: resolves store hits exactly
-/// like the in-process path, shards the misses into chunk leases, then
-/// supervises until every chunk is delivered by some worker.
-///
-/// The supervisor never touches the store — outcome frames are persisted
-/// (and flushed) by the HTTP submission path *before* a lease is marked
-/// done, so by the time a chunk appears here its records are durable.
-/// Outcomes are assembled into the plan's site order, which makes the
-/// final profile byte-identical to the in-process path regardless of
-/// worker count, chunk interleaving, lease steals or duplicate
-/// deliveries.
-///
-/// `Err` carries the terminal [`RunEnd`] when the job was stopped; the
-/// job's published leases are retracted so workers stop pulling them.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn fleet_campaign_through_store(
-    shared: &Shared,
-    id: &str,
-    spec: &JobSpec,
-    sites: &[WeightedSite],
-    fingerprint: u64,
-    launch: u64,
-    threads_per_cta: u32,
-    cancel: &AtomicBool,
-    stopper: Option<&Mutex<EarlyStop>>,
-) -> Result<Vec<Option<Outcome>>, RunEnd> {
-    let _campaign = fsp_obs::span_labeled("serve.fleet_campaign", id.to_owned());
-    let keys: Vec<OutcomeKey> = sites
-        .iter()
-        .map(|ws| OutcomeKey::new(fingerprint, launch, spec.model, ws.site))
-        .collect();
-    let mut outcomes: Vec<Option<Outcome>> = {
-        let store = shared.store.lock().expect("engine poisoned");
-        keys.iter().map(|k| store.get(k)).collect()
-    };
-    let hits = outcomes.iter().filter(|o| o.is_some()).count();
-    {
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.done += hits;
-            record.cache_hits += hits;
-            for (ws, o) in sites.iter().zip(&outcomes) {
-                if let Some(o) = o {
-                    record.partial.record_weighted(*o, ws.weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += ws.weight * ws.weight;
-                    shared.metrics.job_outcome_total[o.code() as usize].inc();
-                }
-            }
-            persist(&shared.jobs_dir, record);
-        }
-    }
-    if let Some(stopper) = stopper {
-        let mut tracker = stopper.lock().expect("stop tracker poisoned");
-        for (i, o) in outcomes.iter().enumerate() {
-            if let Some(o) = o {
-                tracker.resolve(i, *o);
-            }
-        }
-        if tracker.should_stop() {
-            // The cached prefix alone satisfies the rule: nothing to lease.
-            return Ok(outcomes);
-        }
-    }
-
-    // Shard the misses, aligned to batch groups; a sampled plan may
-    // repeat a site, and every index gets its outcome from its own
-    // chunk's map, so repeats are harmless.
-    let miss: Vec<usize> = (0..sites.len())
-        .filter(|&i| outcomes[i].is_none())
-        .collect();
-    let misses = miss.len();
-    let chunk_len = shared.leases.config().chunk_sites.max(1);
-    let chunks = batch_aligned_chunks(sites, miss, chunk_len, threads_per_cta);
-    let specs: Vec<ChunkSpec> = chunks
-        .iter()
-        .enumerate()
-        .map(|(chunk_idx, indices)| ChunkSpec {
-            job: id.to_owned(),
-            chunk_idx,
-            kernel: spec.kernel.clone(),
-            model: spec.model,
-            fingerprint,
-            launch,
-            sites: indices.iter().map(|&i| sites[i].site).collect(),
-        })
-        .collect();
-    let started = Instant::now();
-    let mut remaining = specs.len();
-    shared.leases.publish(specs);
-
-    while remaining > 0 {
-        if shared.shutdown.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-            shared.leases.retract_job(id);
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return Err(RunEnd::Interrupted);
-            }
-            return Err(RunEnd::Cancelled);
-        }
-        let delivered = shared.leases.take_completed(id);
-        if delivered.is_empty() {
-            shared.leases.wait_progress(Duration::from_millis(200));
-            continue;
-        }
-        let mut fresh: Vec<(usize, Outcome)> = Vec::new();
-        {
-            let mut jobs = shared.jobs.lock().expect("engine poisoned");
-            for (chunk_idx, map) in delivered {
-                for &i in &chunks[chunk_idx] {
-                    let o = *map
-                        .get(&sites[i].site)
-                        .expect("lease completion covers every chunk site");
-                    outcomes[i] = Some(o);
-                    fresh.push((i, o));
-                    if let Some(record) = jobs.get_mut(id) {
-                        record.done += 1;
-                        record.partial.record_weighted(o, sites[i].weight);
-                        record.outcome_counts[o.code() as usize] += 1;
-                        record.sum_w2 += sites[i].weight * sites[i].weight;
-                        shared.metrics.job_outcome_total[o.code() as usize].inc();
-                    }
-                }
-                remaining -= 1;
-            }
-            if let Some(record) = jobs.get_mut(id) {
-                persist(&shared.jobs_dir, record);
-            }
-        }
-        shared.leases.prune_delivered(id);
-        if let Some(stopper) = stopper {
-            let mut tracker = stopper.lock().expect("stop tracker poisoned");
-            for (i, o) in fresh {
-                tracker.resolve(i, o);
-            }
-            if tracker.should_stop() {
-                // CI convergence: stop issuing leases and retract the
-                // job's remaining chunks; in-flight workers see their
-                // submissions answered as stale and move on.
-                shared.leases.retract_job(id);
-                break;
-            }
-        }
-    }
-    shared.metrics.record_campaign(
-        mode_index(spec.mode.mode_name()),
-        hits as u64,
-        misses as u64,
-        started.elapsed().as_nanos() as u64,
-    );
-    {
-        let mut store = shared.store.lock().expect("engine poisoned");
-        if store.appended_since_checkpoint() >= CHECKPOINT_EVERY {
-            if let Err(e) = store.checkpoint() {
-                eprintln!("fsp-serve: store checkpoint failed: {e}");
-            }
-        }
-    }
-    Ok(outcomes)
-}
-
 fn error_json(message: &str) -> Json {
     Json::obj([("error", Json::Str(message.to_owned()))])
-}
-
-/// The weighted profile of a complete campaign, accumulated in site order
-/// (bit-identical across worker counts and cache splits).
-fn profile_in_site_order(sites: &[WeightedSite], outcomes: &[Outcome]) -> ResilienceProfile {
-    let mut profile = ResilienceProfile::new();
-    for (ws, o) in sites.iter().zip(outcomes) {
-        profile.record_weighted(*o, ws.weight);
-    }
-    profile
-}
-
-struct EngineObserver<'a> {
-    shared: &'a Shared,
-    id: &'a str,
-    keys: &'a [OutcomeKey],
-    sites: &'a [WeightedSite],
-    cancel: &'a AtomicBool,
-    stopper: Option<&'a Mutex<EarlyStop>>,
-}
-
-impl CampaignObserver for EngineObserver<'_> {
-    fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
-        {
-            let mut store = self.shared.store.lock().expect("engine poisoned");
-            // Every reported site is a fresh injection (pre-resolved sites
-            // are never re-reported), so each one is appended.
-            for (&i, &o) in indices.iter().zip(outcomes) {
-                if let Err(e) = store.insert(self.keys[i], o) {
-                    eprintln!("fsp-serve: store append failed: {e}");
-                }
-            }
-            // One flush per chunk: a crash loses at most the torn tail of
-            // the final in-flight record.
-            let flush_start = fsp_obs::now_ns();
-            let _ = store.flush();
-            self.shared
-                .metrics
-                .store_flush_nanos
-                .record(fsp_obs::now_ns() - flush_start);
-        }
-        {
-            let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
-            if let Some(record) = jobs.get_mut(self.id) {
-                for (&i, &o) in indices.iter().zip(outcomes) {
-                    record.done += 1;
-                    record.partial.record_weighted(o, self.sites[i].weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += self.sites[i].weight * self.sites[i].weight;
-                    self.shared.metrics.job_outcome_total[o.code() as usize].inc();
-                }
-            }
-        }
-        if let Some(stopper) = self.stopper {
-            let mut tracker = stopper.lock().expect("stop tracker poisoned");
-            for (&i, &o) in indices.iter().zip(outcomes) {
-                tracker.resolve(i, o);
-            }
-        }
-    }
-
-    fn should_cancel(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
-            || self.cancel.load(Ordering::Relaxed)
-            || self
-                .stopper
-                .is_some_and(|s| s.lock().expect("stop tracker poisoned").should_stop())
-    }
 }
 
 #[cfg(test)]

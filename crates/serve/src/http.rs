@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use crate::engine::{kernels_json, Engine, ResultError};
 use crate::job::JobSpec;
-use crate::json::Json;
+use fsp_fleet::Json;
 
 /// Largest accepted request body (a job spec is tiny; the largest outcome
 /// frame — a full lease chunk of hex-armored 32-byte records — stays well

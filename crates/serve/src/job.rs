@@ -4,7 +4,7 @@ use fsp_inject::FaultModel;
 use fsp_protect::ProtectScope;
 use fsp_stats::ResilienceProfile;
 
-use crate::json::Json;
+use fsp_fleet::Json;
 
 /// What kind of campaign a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,8 +18,9 @@
 //!   plans, runs, persists and resumes them.
 //! - [`http`] / [`client`] — the wire: `POST /jobs`, `GET /jobs/:id`,
 //!   `GET /jobs/:id/result`, `GET /kernels`, `GET /metrics`.
-//! - [`json`] — a hand-rolled, dependency-free JSON layer whose `f64`
-//!   round trip is bit-exact, so profiles survive the wire unchanged.
+//! - [`Json`] — the hand-rolled, dependency-free JSON layer of
+//!   `fsp-fleet`, whose `f64` round trip is bit-exact, so profiles
+//!   survive the wire unchanged.
 
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
@@ -34,17 +35,16 @@ pub mod dashboard;
 pub mod engine;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod metrics;
 pub mod store;
 
 pub use client::Client;
 pub use engine::{kernels_json, run_local, Engine, EngineConfig, ResultError};
+pub use fsp_fleet::Json;
 pub use http::{Server, ServerHandle};
 pub use job::{
     progress_to_json, CampaignMode, EarlyStopReport, JobRecord, JobResult, JobSpec, JobState,
     StopSpec,
 };
-pub use json::Json;
 pub use metrics::Metrics;
 pub use store::{OutcomeKey, OutcomeStore};

@@ -6,8 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use fsp_serve::json::Json;
-use fsp_serve::{run_local, Engine, EngineConfig, JobSpec};
+use fsp_serve::{run_local, Engine, EngineConfig, JobSpec, Json};
 
 const SAMPLES: usize = 300;
 

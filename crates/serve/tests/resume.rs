@@ -5,8 +5,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use fsp_serve::json::Json;
-use fsp_serve::{Engine, EngineConfig, JobSpec};
+use fsp_serve::{Engine, EngineConfig, JobSpec, Json};
 
 const SAMPLES: usize = 2000;
 

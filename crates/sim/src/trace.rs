@@ -11,12 +11,10 @@
 //!   bit-wise pruning, which only ever look at a handful of representative
 //!   threads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hook::{ExecHook, RetireEvent};
 
 /// One executed instruction in a full thread trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Static instruction index.
     pub pc: u32,
@@ -25,7 +23,7 @@ pub struct TraceEntry {
 }
 
 /// The full dynamic trace of one thread.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTrace {
     /// Executed instructions in order.
     pub entries: Vec<TraceEntry>,
@@ -50,7 +48,7 @@ impl ThreadTrace {
 /// load — this sits on the per-instruction comparison path of the
 /// injection fast paths, where the previous `BTreeMap` paid a pointer
 /// chase per retirement.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FullTraces {
     slots: Vec<Option<ThreadTrace>>,
     count: usize,
@@ -162,7 +160,7 @@ impl FromIterator<(u32, ThreadTrace)> for FullTraces {
 }
 
 /// Aggregated trace of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelTrace {
     /// Per-thread dynamic instruction count, indexed by flat thread id.
     pub icnt: Vec<u32>,

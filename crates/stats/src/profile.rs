@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Fine-grained cause of an *Other* outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutcomeKind {
     /// The application crashed (invalid/misaligned memory access).
     Crash,
@@ -14,7 +12,7 @@ pub enum OutcomeKind {
 }
 
 /// Classification of a single fault-injection run (Section II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// The fault did not change the application output.
     Masked,
@@ -80,14 +78,13 @@ impl fmt::Display for Outcome {
 /// Weights are real-valued because pruned campaigns extrapolate: one
 /// injection into a representative thread stands for all the threads in its
 /// group, so its outcome is recorded with the group's weight.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceProfile {
     masked: f64,
     sdc: f64,
     other: f64,
     crashes: f64,
     hangs: f64,
-    #[serde(default)]
     detected: f64,
 }
 
@@ -335,7 +332,7 @@ impl FromIterator<Outcome> for ResilienceProfile {
 }
 
 /// Five-number summary plus mean, for the box plots of Figures 2–3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNumber {
     /// Minimum.
     pub min: f64,
