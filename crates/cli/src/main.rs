@@ -61,8 +61,9 @@ COMMANDS:
                                  server must run with `serve --trace`)
     fleet-bench [--json]         Benchmark fleet scaling: sites/sec at 1/2/4
                                  workers for three kernels, plus the requeue
-                                 overhead of killing a worker mid-run; --json
-                                 writes BENCH_fleet.json (override with --out)
+                                 overhead of killing a worker mid-run, each the
+                                 fastest of 5 runs; --json writes
+                                 BENCH_fleet.json (override with --out)
 
 OPTIONS:
     --workers N    Campaign worker threads (default: all cores); for
@@ -1295,14 +1296,17 @@ fn progress_table(doc: &fsp_serve::Json) -> String {
 }
 
 /// `fsp watch <job>`: redraws the progress table until the job reaches a
-/// terminal state, pacing polls with the fleet's jittered backoff (quick
-/// first checks, a capped gentle cadence for long campaigns).
+/// terminal state. Each redraw asks the server to hold the request for
+/// the next delay of the fleet's jittered backoff (quick first redraws, a
+/// capped gentle cadence for long campaigns); the server answers at once
+/// when the job ends, so the final table is never late.
 fn watch(id: Option<&String>, addr: &str) -> Result<(), String> {
     let id = id.ok_or("missing job id")?;
     let client = fsp_serve::Client::new(addr);
     let mut backoff = fsp_fleet::Backoff::poll(fsp_fleet::wire::frame_fnv(id.as_bytes()));
+    let mut wait = std::time::Duration::ZERO;
     loop {
-        let doc = client.progress(id)?;
+        let doc = client.progress_after(id, wait)?;
         // ANSI clear-and-home keeps the table refreshing in place
         // without a TUI dependency.
         print!("\x1b[2J\x1b[H{}", progress_table(&doc));
@@ -1312,7 +1316,7 @@ fn watch(id: Option<&String>, addr: &str) -> Result<(), String> {
             Some("queued" | "running") => {}
             Some(_) | None => return Ok(()),
         }
-        std::thread::sleep(backoff.next_delay());
+        wait = backoff.next_delay();
     }
 }
 
@@ -1405,7 +1409,8 @@ fn fleet_status(addr: &str) -> Result<(), String> {
 /// One end-to-end fleet run for `fleet-bench`: an ephemeral coordinator
 /// on a fresh state directory, `workers` in-process worker loops (one
 /// campaign thread each, so worker count is the only scaling knob), one
-/// sampled job. Returns (wall seconds, lease requeues observed).
+/// sampled job on a cold store. Returns (seconds from submission until
+/// the client sees the job settle, lease requeues observed).
 fn fleet_bench_run(
     scratch: &std::path::Path,
     kernel: &str,
@@ -1421,6 +1426,8 @@ fn fleet_bench_run(
         "{kernel}-w{workers}{}",
         if fail_after.is_some() { "-kill" } else { "" }
     ));
+    // Repetitions share the path; each starts from an empty store.
+    let _ = std::fs::remove_dir_all(&dir);
     // A dead worker's lease must expire quickly in the kill-overhead run;
     // healthy runs heartbeat well inside either TTL.
     let ttl = Duration::from_millis(if fail_after.is_some() { 1000 } else { 10_000 });
@@ -1443,7 +1450,7 @@ fn fleet_bench_run(
     let job = client.submit_fleet(&spec)?;
 
     let stop = AtomicBool::new(false);
-    let status = std::thread::scope(|scope| {
+    let (status, secs) = std::thread::scope(|scope| {
         for i in 0..workers {
             let mut cfg = fsp_fleet::WorkerConfig::new(&addr, format!("bench-{i}"));
             cfg.campaign_workers = 1;
@@ -1456,10 +1463,12 @@ fn fleet_bench_run(
             });
         }
         let status = client.wait(&job, Duration::from_secs(600));
+        // The job's end, not the workers' exit after it.
+        let secs = started.elapsed().as_secs_f64();
         stop.store(true, Ordering::Relaxed);
-        status
-    })?;
-    let secs = started.elapsed().as_secs_f64();
+        (status, secs)
+    });
+    let status = status?;
     match status.get("state").and_then(fsp_serve::Json::as_str) {
         Some("completed") => {}
         other => return Err(format!("{kernel} w={workers}: job ended as {other:?}")),
@@ -1475,8 +1484,10 @@ fn fleet_bench_run(
 /// Benchmarks distributed campaign execution: the same sampled job is
 /// drained by 1, 2 and 4 single-threaded workers for three kernels, and
 /// a separate run kills a worker mid-fleet (via `fail_after`) to price
-/// one lease requeue. With `--json` the measurements are written as
-/// `BENCH_fleet.json` (or `--out PATH`).
+/// one lease requeue. Every configuration runs [`FLEET_BENCH_REPS`]
+/// times and reports its fastest run with the spread of the rest. With
+/// `--json` the measurements, the command and the host core count are
+/// written as `BENCH_fleet.json` (or `--out PATH`).
 fn fleet_bench(
     samples: Option<usize>,
     opts: &Options,
@@ -1488,62 +1499,101 @@ fn fleet_bench(
     let n = samples.unwrap_or(256);
     let scratch = std::env::temp_dir().join(format!("fsp-fleet-bench-{}", std::process::id()));
 
-    struct FleetRow {
-        kernel: &'static str,
-        workers: usize,
-        secs: f64,
+    /// Wall seconds of one configuration's repetitions, sorted.
+    struct Runs(Vec<f64>);
+    impl Runs {
+        fn min(&self) -> f64 {
+            self.0[0]
+        }
+        fn median(&self) -> f64 {
+            self.0[self.0.len() / 2]
+        }
+        fn max(&self) -> f64 {
+            self.0[self.0.len() - 1]
+        }
+        fn json(&self, n: usize) -> String {
+            format!(
+                "\"secs\": {:.3}, \"secs_median\": {:.3}, \"secs_max\": {:.3}, \
+                 \"sites_per_sec\": {:.1}",
+                self.min(),
+                self.median(),
+                self.max(),
+                n as f64 / self.min()
+            )
+        }
     }
-    let mut rows: Vec<FleetRow> = Vec::new();
+    let repeat = |kernel: &str, workers: usize, fail_after: Option<usize>| {
+        let mut secs = Vec::with_capacity(FLEET_BENCH_REPS);
+        let mut requeues = 0;
+        for _ in 0..FLEET_BENCH_REPS {
+            let (s, r) = fleet_bench_run(&scratch, kernel, n, workers, fail_after, opts.seed)?;
+            secs.push(s);
+            requeues = requeues.max(r);
+        }
+        secs.sort_by(f64::total_cmp);
+        Ok::<_, String>((Runs(secs), requeues))
+    };
+
+    let mut rows: Vec<(&str, usize, Runs)> = Vec::new();
     for kernel in KERNELS {
         for workers in WORKER_COUNTS {
-            let (secs, _) = fleet_bench_run(&scratch, kernel, n, workers, None, opts.seed)?;
+            let (runs, _) = repeat(kernel, workers, None)?;
             eprintln!(
-                "{kernel} w={workers}: {secs:.2}s ({:.0} sites/s)",
-                n as f64 / secs
+                "{kernel} w={workers}: min {:.2}s ({:.0} sites/s), max {:.2}s",
+                runs.min(),
+                n as f64 / runs.min(),
+                runs.max()
             );
-            rows.push(FleetRow {
-                kernel,
-                workers,
-                secs,
-            });
+            rows.push((kernel, workers, runs));
         }
     }
     let baseline = rows
         .iter()
-        .find(|r| r.kernel == "gemm" && r.workers == 2)
+        .find(|(kernel, workers, _)| *kernel == "gemm" && *workers == 2)
         .expect("measured above")
-        .secs;
-    let (kill_secs, requeues) = fleet_bench_run(&scratch, "gemm", n, 2, Some(1), opts.seed)?;
+        .2
+        .min();
+    let (kill, requeues) = repeat("gemm", 2, Some(1))?;
     eprintln!(
-        "gemm w=2 with one mid-run kill: {kill_secs:.2}s ({requeues} requeues, \
+        "gemm w=2 with one mid-run kill: min {:.2}s ({requeues} requeues, \
          +{:.2}s vs healthy)",
-        kill_secs - baseline
+        kill.min(),
+        kill.min() - baseline
     );
     let _ = std::fs::remove_dir_all(&scratch);
 
     if json {
+        // Program name first, then the arguments exactly as given.
+        let command = std::iter::once("fsp".to_owned())
+            .chain(std::env::args().skip(1))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
         let mut doc = String::from("{\n");
+        doc.push_str(&format!(
+            "  \"command\": {},\n",
+            fsp_serve::Json::Str(command)
+        ));
+        doc.push_str(&format!("  \"nproc\": {nproc},\n"));
+        doc.push_str(&format!("  \"reps\": {FLEET_BENCH_REPS},\n"));
         doc.push_str(&format!("  \"samples_per_job\": {n},\n"));
         doc.push_str(&format!("  \"seed\": {},\n", opts.seed));
         doc.push_str("  \"chunk_sites\": 32,\n");
         doc.push_str("  \"scaling\": [\n");
-        for (i, r) in rows.iter().enumerate() {
+        for (i, (kernel, workers, runs)) in rows.iter().enumerate() {
             doc.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"workers\": {}, \"sites\": {n}, \
-                 \"secs\": {:.3}, \"sites_per_sec\": {:.1}}}{}\n",
-                r.kernel,
-                r.workers,
-                r.secs,
-                n as f64 / r.secs,
+                "    {{\"kernel\": \"{kernel}\", \"workers\": {workers}, \"sites\": {n}, {}}}{}\n",
+                runs.json(n),
                 if i + 1 < rows.len() { "," } else { "" },
             ));
         }
         doc.push_str("  ],\n");
         doc.push_str(&format!(
             "  \"kill_overhead\": {{\"kernel\": \"gemm\", \"workers\": 2, \
-             \"healthy_secs\": {baseline:.3}, \"kill_secs\": {kill_secs:.3}, \
-             \"overhead_secs\": {:.3}, \"requeues\": {requeues}}}\n",
-            kill_secs - baseline
+             \"healthy_secs\": {baseline:.3}, {}, \"overhead_secs\": {:.3}, \
+             \"requeues\": {requeues}}}\n",
+            kill.json(n),
+            kill.min() - baseline
         ));
         doc.push_str("}\n");
         let path = out_path.unwrap_or("BENCH_fleet.json");
@@ -1551,24 +1601,30 @@ fn fleet_bench(
         print!("{doc}");
         eprintln!("wrote {path}");
     } else {
-        let mut t = fsp_cli::output::Table::new(&["kernel", "workers", "secs", "sites/s"]);
-        for r in &rows {
+        let mut t =
+            fsp_cli::output::Table::new(&["kernel", "workers", "min secs", "max secs", "sites/s"]);
+        for (kernel, workers, runs) in &rows {
             t.row(vec![
-                r.kernel.to_owned(),
-                r.workers.to_string(),
-                format!("{:.2}", r.secs),
-                format!("{:.0}", n as f64 / r.secs),
+                (*kernel).to_owned(),
+                workers.to_string(),
+                format!("{:.2}", runs.min()),
+                format!("{:.2}", runs.max()),
+                format!("{:.0}", n as f64 / runs.min()),
             ]);
         }
         println!("{t}");
         println!(
-            "mid-run kill (gemm, 2 workers): {kill_secs:.2}s vs {baseline:.2}s healthy \
-             (+{:.2}s, {requeues} lease requeues)",
-            kill_secs - baseline
+            "mid-run kill (gemm, 2 workers): {:.2}s vs {baseline:.2}s healthy \
+             (+{:.2}s, {requeues} lease requeues), fastest of {FLEET_BENCH_REPS}",
+            kill.min(),
+            kill.min() - baseline
         );
     }
     Ok(())
 }
+
+/// Repetitions per `fleet-bench` configuration (min-of-N with spread).
+const FLEET_BENCH_REPS: usize = 5;
 
 fn reproduce(
     artifact: Option<&String>,

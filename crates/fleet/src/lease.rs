@@ -15,6 +15,11 @@
 //!                +—— deadline expired ———+   (lazy requeue inside acquire)
 //! ```
 //!
+//! An acquirer may wait for work: [`LeaseTable::acquire_wait`] blocks on
+//! the table's condvar until a chunk is published or a leased chunk's
+//! deadline passes (it is then stolen), the wait ends, or the table is
+//! [closed](LeaseTable::close).
+//!
 //! Completion is accepted from *any* worker holding the chunk's outcomes —
 //! including a worker whose lease has already expired and been re-leased
 //! to someone else. The simulator is deterministic, so rival submissions
@@ -246,6 +251,30 @@ struct Inner {
     workers: BTreeMap<String, WorkerStats>,
     requeues: u64,
     duplicates: u64,
+    /// Set by [`LeaseTable::close`]: no further grants, no waiting.
+    closed: bool,
+}
+
+impl Inner {
+    /// Chunks not yet done (available or leased).
+    fn pending(&self) -> usize {
+        self.chunks
+            .values()
+            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
+            .count()
+    }
+
+    /// The earliest deadline among leased chunks: when the next expired
+    /// lease becomes stealable.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.chunks
+            .values()
+            .filter_map(|c| match c.state {
+                ChunkState::Leased { deadline, .. } => Some(deadline),
+                _ => None,
+            })
+            .min()
+    }
 }
 
 /// The lease table. One per engine; shared by the HTTP layer and the
@@ -307,7 +336,7 @@ impl LeaseTable {
     }
 
     /// Requeues leases whose deadline has passed. Internal; called with the
-    /// lock held from `acquire`.
+    /// lock held from `acquire_wait`.
     fn requeue_expired(inner: &mut Inner, now: Instant) {
         for chunk in inner.chunks.values_mut() {
             if let ChunkState::Leased { deadline, .. } = &chunk.state {
@@ -320,42 +349,77 @@ impl LeaseTable {
     }
 
     /// Grants the lowest-numbered available chunk to `worker`, requeuing
-    /// expired leases first (this is where work stealing happens).
+    /// expired leases first (this is where work stealing happens). Never
+    /// blocks: [`LeaseTable::acquire_wait`] with no wait.
     pub fn acquire(&self, worker: &str) -> Acquired {
-        let now = Instant::now();
+        self.acquire_wait(worker, Duration::ZERO)
+    }
+
+    /// Grants a chunk to `worker` as soon as one is available, waiting up
+    /// to `wait` for one to be published or for a leased chunk's deadline
+    /// to pass (it is then stolen at its expiry). Returns at once, without
+    /// a grant, once the table is closed. An empty result carries the
+    /// count of chunks still pending.
+    ///
+    /// The availability check and the start of each wait happen under one
+    /// lock, so a publish between them cannot be missed.
+    pub fn acquire_wait(&self, worker: &str, wait: Duration) -> Acquired {
+        let end = Instant::now() + wait;
         let mut inner = self.inner.lock().expect("lease table poisoned");
-        Self::requeue_expired(&mut inner, now);
-        let ttl = self.config.lease_ttl;
-        let mut grant = None;
-        for (id, chunk) in &mut inner.chunks {
-            if matches!(chunk.state, ChunkState::Available) {
-                chunk.state = ChunkState::Leased {
-                    worker: worker.to_owned(),
-                    deadline: now + ttl,
-                };
-                grant = Some(Grant {
-                    lease: format!("lease-{id}"),
-                    kernel: chunk.spec.kernel.clone(),
-                    model: chunk.spec.model,
-                    fingerprint: chunk.spec.fingerprint,
-                    launch: chunk.spec.launch,
-                    ttl,
-                    trace: fsp_obs::tracing_enabled(),
-                    grant_ns: fsp_obs::now_ns(),
-                    sites: chunk.spec.sites.clone(),
-                });
-                break;
+        loop {
+            let now = Instant::now();
+            let grant = if inner.closed {
+                None
+            } else {
+                self.grant(&mut inner, worker, now)
+            };
+            if grant.is_some() || inner.closed || now >= end {
+                let pending = inner.pending();
+                return Acquired { grant, pending };
             }
+            let wake = inner.next_deadline().map_or(end, |d| d.min(end));
+            inner = self
+                .progress
+                .wait_timeout(inner, wake.saturating_duration_since(now))
+                .expect("lease table poisoned")
+                .0;
         }
-        if grant.is_some() {
-            inner.workers.entry(worker.to_owned()).or_default().leases += 1;
-        }
-        let pending = inner
+    }
+
+    /// Leases the lowest-numbered available chunk to `worker` after
+    /// requeuing expired leases, if there is one. Called with the lock held.
+    fn grant(&self, inner: &mut Inner, worker: &str, now: Instant) -> Option<Grant> {
+        Self::requeue_expired(inner, now);
+        let ttl = self.config.lease_ttl;
+        let (id, chunk) = inner
             .chunks
-            .values()
-            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
-            .count();
-        Acquired { grant, pending }
+            .iter_mut()
+            .find(|(_, c)| matches!(c.state, ChunkState::Available))?;
+        chunk.state = ChunkState::Leased {
+            worker: worker.to_owned(),
+            deadline: now + ttl,
+        };
+        let grant = Grant {
+            lease: format!("lease-{id}"),
+            kernel: chunk.spec.kernel.clone(),
+            model: chunk.spec.model,
+            fingerprint: chunk.spec.fingerprint,
+            launch: chunk.spec.launch,
+            ttl,
+            trace: fsp_obs::tracing_enabled(),
+            grant_ns: fsp_obs::now_ns(),
+            sites: chunk.spec.sites.clone(),
+        };
+        inner.workers.entry(worker.to_owned()).or_default().leases += 1;
+        Some(grant)
+    }
+
+    /// Closes the table (engine shutdown): wakes every blocked
+    /// [`LeaseTable::acquire_wait`], which returns without a grant, and
+    /// refuses grants from then on.
+    pub fn close(&self) {
+        self.inner.lock().expect("lease table poisoned").closed = true;
+        self.progress.notify_all();
     }
 
     /// Renews a lease's deadline. A lease past its deadline but not yet
@@ -552,11 +616,7 @@ impl LeaseTable {
     pub fn render_metrics(&self, out: &mut String) {
         use std::fmt::Write as _;
         let inner = self.inner.lock().expect("lease table poisoned");
-        let pending = inner
-            .chunks
-            .values()
-            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
-            .count();
+        let pending = inner.pending();
         let _ = writeln!(out, "# TYPE fsp_fleet_chunks_pending gauge");
         let _ = writeln!(out, "fsp_fleet_chunks_pending {pending}");
         let _ = writeln!(out, "# TYPE fsp_fleet_lease_requeues_total counter");
@@ -734,5 +794,89 @@ mod tests {
         t.render_metrics(&mut metrics);
         assert!(metrics.contains("fsp_fleet_chunks_pending 1"));
         assert!(metrics.contains("fsp_fleet_sites_completed_total{worker=\"w1\"} 2"));
+    }
+
+    /// Long enough that a test passing on a wake-up cannot have passed on
+    /// the wait running out instead.
+    const LONG_WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn waiting_acquirer_is_granted_a_chunk_published_mid_wait() {
+        let t = table(10_000);
+        let start = Instant::now();
+        let acquired = std::thread::scope(|scope| {
+            // Published 50 ms into the wait; were the waiter slower to
+            // start, the publish would come first and the grant be
+            // immediate — either order must grant well inside the wait.
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                t.publish(vec![spec("job-1", 0, 0, 2)]);
+            });
+            t.acquire_wait("w1", LONG_WAIT)
+        });
+        let grant = acquired.grant.expect("granted on publish");
+        assert_eq!(grant.sites.len(), 2);
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert!(start.elapsed() < LONG_WAIT / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn chunk_published_before_the_wait_is_granted_at_once() {
+        let t = table(10_000);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let start = Instant::now();
+        let acquired = t.acquire_wait("w1", LONG_WAIT);
+        assert!(acquired.grant.is_some());
+        assert_eq!(acquired.pending, 1);
+        assert!(start.elapsed() < LONG_WAIT / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn expired_lease_is_granted_to_a_waiter_at_its_deadline() {
+        let t = table(200);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let g1 = t.acquire("w1").grant.expect("granted");
+        let start = Instant::now();
+        let acquired = t.acquire_wait("w2", LONG_WAIT);
+        let g2 = acquired.grant.expect("stolen at expiry");
+        assert_eq!(g2.lease, g1.lease);
+        assert_eq!(t.requeues(), 1);
+        assert!(start.elapsed() >= Duration::from_millis(150));
+        assert!(start.elapsed() < LONG_WAIT / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn empty_wait_returns_the_pending_count() {
+        let t = table(10_000);
+        let empty = t.acquire_wait("w1", Duration::from_millis(20));
+        assert!(empty.grant.is_none());
+        assert_eq!(empty.pending, 0);
+        t.publish(vec![spec("job-1", 0, 0, 2), spec("job-1", 1, 2, 2)]);
+        t.acquire("w1").grant.expect("first chunk");
+        t.acquire("w2").grant.expect("second chunk");
+        let start = Instant::now();
+        let leased_out = t.acquire_wait("w3", Duration::from_millis(50));
+        assert!(leased_out.grant.is_none());
+        assert_eq!(leased_out.pending, 2);
+        assert!(start.elapsed() >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn close_wakes_waiters_and_refuses_grants() {
+        let t = table(10_000);
+        let start = Instant::now();
+        let acquired = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                t.close();
+            });
+            t.acquire_wait("w1", LONG_WAIT)
+        });
+        assert!(acquired.grant.is_none());
+        assert!(start.elapsed() < LONG_WAIT / 2, "{:?}", start.elapsed());
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let after = t.acquire_wait("w1", LONG_WAIT);
+        assert!(after.grant.is_none(), "a closed table grants nothing");
+        assert_eq!(after.pending, 1);
     }
 }

@@ -29,8 +29,8 @@
 //!   FNV-checksummed site and outcome frames.
 //! - [`retry`] — capped exponential backoff with jitter, shared by the
 //!   worker runtime and the service client.
-//! - [`lease`] — the coordinator's lease table: publish, acquire,
-//!   heartbeat, complete, requeue.
+//! - [`lease`] — the coordinator's lease table: publish, acquire (at
+//!   once or waiting for work), heartbeat, complete, requeue.
 //! - [`worker`] — the `fsp worker` runtime: lease loop, heartbeat
 //!   thread, campaign execution, outcome submission.
 
@@ -53,6 +53,6 @@ pub use lease::{
     Acquired, ChunkSpec, FleetConfig, Grant, HeartbeatError, LeaseMeta, LeaseTable, Submission,
     WorkerStats,
 };
-pub use retry::Backoff;
+pub use retry::{Backoff, MAX_POLL_WAIT};
 pub use wire::{decode_record, encode_record, OutcomeFrame, OutcomeKey, SiteFrame, RECORD_LEN};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};

@@ -1,11 +1,16 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
-//! Shared by the worker runtime (transient coordinator errors, empty lease
-//! polls) and the service client's `wait` polling. The jitter source is a
+//! Shared by the worker runtime (transient coordinator errors, lease
+//! waits) and the service client's `wait`. The jitter source is a
 //! tiny xorshift stream seeded per [`Backoff`], so delay schedules are
 //! reproducible for a given seed yet decorrelated across workers.
 
 use std::time::Duration;
+
+/// The [`Backoff::poll`] cap, and the longest wait a coordinator holds a
+/// `POST /leases` or `GET /jobs/:id` request open for: a larger `wait_ms`
+/// is clamped to it.
+pub const MAX_POLL_WAIT: Duration = Duration::from_secs(2);
 
 /// A capped exponential backoff schedule with multiplicative jitter.
 ///
@@ -34,10 +39,15 @@ impl Backoff {
         }
     }
 
-    /// The schedule used for coordinator polling: 50ms doubling to 2s.
+    /// The schedule used against the coordinator: 50ms doubling to
+    /// [`MAX_POLL_WAIT`]. Each delay bounds a server-side wait (`wait_ms`
+    /// of `POST /leases` or `GET /jobs/:id`) that ends early as soon as
+    /// there is work or the job settles, so the schedule sets the idle
+    /// request rate, not the latency; after a transport error it is a
+    /// plain sleep.
     #[must_use]
     pub fn poll(seed: u64) -> Self {
-        Backoff::new(Duration::from_millis(50), Duration::from_secs(2), seed)
+        Backoff::new(Duration::from_millis(50), MAX_POLL_WAIT, seed)
     }
 
     fn next_u64(&mut self) -> u64 {

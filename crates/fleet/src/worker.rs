@@ -2,12 +2,16 @@
 //!
 //! A worker is a plain loop: pull a lease from the coordinator, execute
 //! its chunk with the checkpoint-resume fast path, stream the outcomes
-//! back, repeat. All fault tolerance lives in the protocol rather than in
-//! worker state:
+//! back, repeat. A lease request carries the worker's current backoff
+//! delay as `wait_ms`: the coordinator holds it open until a chunk is
+//! published (or a lease expires) and grants at once, so an idle worker
+//! neither sleeps through newly published work nor polls faster than the
+//! backoff schedule. All fault tolerance lives in the protocol rather
+//! than in worker state:
 //!
 //! * transient coordinator errors retry under capped exponential backoff
 //!   with jitter ([`crate::retry::Backoff`]);
-//! * a heartbeat thread renews the active lease at a third of its TTL; if
+//! * a heartbeat thread renews the active lease every third of its TTL; if
 //!   the coordinator reports the lease stolen (409) or gone (404), a lost
 //!   flag cancels the running campaign between chunks and the lease is
 //!   abandoned — the rightful holder finishes it;
@@ -166,7 +170,16 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
     let mut failures = 0u32;
 
     while !stop.load(Ordering::Relaxed) {
-        let body = Json::obj([("worker", Json::Str(config.name.clone()))]).to_string();
+        // The delay bounds the coordinator-side wait; it is only slept
+        // out here when the coordinator cannot be reached.
+        let wait_ms = poll.next_delay().as_millis() as u64;
+        let wait = Duration::from_millis(wait_ms);
+        let body = Json::obj([
+            ("worker", Json::Str(config.name.clone())),
+            ("wait_ms", Json::u64(wait_ms)),
+        ])
+        .to_string();
+        let acquire_start = fsp_obs::now_ns();
         let response = match http(&config.addr, "POST", "/leases", &body) {
             Ok((200, body)) => body,
             Ok((status, body)) => {
@@ -176,7 +189,7 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
             }
             Err(_) if failures + 1 < MAX_TRANSPORT_FAILURES => {
                 failures += 1;
-                poll.sleep();
+                std::thread::sleep(wait);
                 continue;
             }
             Err(e) => return Err(format!("coordinator unreachable: {e}")),
@@ -184,11 +197,16 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
         failures = 0;
         let value = Json::parse(&response).map_err(|e| format!("malformed grant: {e}"))?;
         if value.get("lease").and_then(Json::as_str).is_none() {
+            fsp_obs::record_span("worker.acquire", acquire_start);
             let pending = value.get("pending").and_then(Json::as_u64).unwrap_or(0);
             if pending == 0 && config.exit_when_idle {
                 return Ok(summary);
             }
-            poll.sleep();
+            // An empty answer before the wait is up comes from a
+            // coordinator that is shutting down: keep the idle request
+            // rate rather than spin on it.
+            let waited = Duration::from_nanos(fsp_obs::now_ns().saturating_sub(acquire_start));
+            std::thread::sleep(wait.saturating_sub(waited));
             continue;
         }
         poll.reset();
@@ -199,6 +217,9 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
         if grant.trace {
             fsp_obs::set_tracing(true);
         }
+        // Recorded after the switch-on, so the wait for a worker's very
+        // first lease shows in the trace too.
+        fsp_obs::record_span("worker.acquire", acquire_start);
         let grant_received_ns = fsp_obs::now_ns();
         if config.fail_after == Some(summary.chunks) {
             // Crash simulation: die holding the lease. The coordinator's
@@ -236,7 +257,7 @@ fn execute_lease(
 
     let lost = AtomicBool::new(false);
     let completed = std::thread::scope(|scope| {
-        // Heartbeat at a third of the TTL until the campaign returns and
+        // Heartbeat every third of the TTL until the campaign returns and
         // drops `campaign_done`; tolerate transport errors (the lease then
         // simply risks expiry, which the protocol survives).
         let (campaign_done, heartbeat_stop) = mpsc::channel::<()>();
@@ -256,15 +277,11 @@ fn execute_lease(
                     Ok((_, _)) => false,
                 }
             };
-            // First renewal immediately: even a lease whose campaign
-            // finishes inside the first interval lands (and traces) at
-            // least one heartbeat.
-            loop {
+            // The grant is brand new: the first renewal waits a full
+            // interval, so a lease shorter than that sends none.
+            while heartbeat_stop.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                 if !renew() {
                     lost.store(true, Ordering::Relaxed);
-                    return;
-                }
-                if heartbeat_stop.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
                     return;
                 }
             }

@@ -49,6 +49,6 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use tracer::{
-    drain, inject_foreign, instant, now_ns, set_tracing, snapshot, span, span_labeled,
+    drain, inject_foreign, instant, now_ns, record_span, set_tracing, snapshot, span, span_labeled,
     tracing_enabled, Event, Ring, Span, TraceSnapshot,
 };

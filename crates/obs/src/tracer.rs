@@ -290,6 +290,31 @@ impl Drop for Span {
     }
 }
 
+/// Records a span that began at `start_ns` (a [`now_ns`] reading) and
+/// ends now, at this thread's current depth. For a scope whose start may
+/// precede tracing being switched on: a fleet worker learns that it is
+/// traced only from its first grant.
+pub fn record_span(name: &'static str, start_ns: u64) {
+    if !tracing_enabled() {
+        return;
+    }
+    let tid = current_tid();
+    let end = now_ns();
+    local_ring().push(
+        tid,
+        Event {
+            process: None,
+            tid,
+            name: Cow::Borrowed(name),
+            label: None,
+            start_ns,
+            dur_ns: end.saturating_sub(start_ns),
+            depth: DEPTH.with(Cell::get),
+            instant: false,
+        },
+    );
+}
+
 /// Records a zero-duration instant marker (heartbeats, grants, ...).
 pub fn instant(name: &'static str, label: Option<String>) {
     if !tracing_enabled() {

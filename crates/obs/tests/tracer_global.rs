@@ -6,8 +6,8 @@
 //! run in their own processes and are unaffected).
 
 use fsp_obs::{
-    check_nesting, chrome_trace_json, drain, inject_foreign, instant, profile, set_tracing,
-    snapshot, span, span_labeled, Event,
+    check_nesting, chrome_trace_json, drain, inject_foreign, instant, now_ns, profile, record_span,
+    set_tracing, snapshot, span, span_labeled, Event,
 };
 
 #[test]
@@ -16,12 +16,24 @@ fn global_tracer_end_to_end() {
     {
         let _idle = span("disabled.span");
     }
+    let before_enable = now_ns();
+    record_span("disabled.recorded", before_enable);
     assert!(
-        !snapshot().events.iter().any(|e| e.name == "disabled.span"),
+        !snapshot()
+            .events
+            .iter()
+            .any(|e| e.name == "disabled.span" || e.name == "disabled.recorded"),
         "disabled tracer must not record"
     );
 
     set_tracing(true);
+
+    // A span recorded after the switch-on keeps its earlier start.
+    record_span("t.recorded", before_enable);
+    let recorded = get_event(&snapshot().events, "t.recorded").clone();
+    assert_eq!(recorded.start_ns, before_enable);
+    assert_eq!(recorded.depth, 0);
+    assert!(!recorded.instant);
 
     // Strictly nested spans on this thread, plus concurrent threads each
     // with their own stack.

@@ -81,7 +81,23 @@ impl Client {
     ///
     /// Transport failures and 4xx/5xx responses.
     pub fn progress(&self, id: &str) -> Result<Json, String> {
-        expect_json(self.request("GET", &format!("/jobs/{id}/progress"), None)?)
+        self.progress_after(id, Duration::ZERO)
+    }
+
+    /// The job's progress document once the job leaves the queued/running
+    /// states or `wait` passes, whichever comes first: the server holds
+    /// the request open (`?wait_ms=`, capped at
+    /// [`fsp_fleet::MAX_POLL_WAIT`]).
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and 4xx/5xx responses.
+    pub fn progress_after(&self, id: &str, wait: Duration) -> Result<Json, String> {
+        expect_json(self.request(
+            "GET",
+            &format!("/jobs/{id}/progress?wait_ms={}", wait.as_millis()),
+            None,
+        )?)
     }
 
     /// The canonical result document of a completed job.
@@ -93,11 +109,12 @@ impl Client {
         expect_json(self.request("GET", &format!("/jobs/{id}/result"), None)?)
     }
 
-    /// Polls until the job leaves the queued/running states, then returns
-    /// its final status document. Polling backs off exponentially with
-    /// jitter (the fleet retry schedule, [`fsp_fleet::Backoff`]): quick
-    /// first checks for short jobs, a capped gentle cadence for long ones,
-    /// and decorrelated load when many clients wait at once.
+    /// Waits until the job leaves the queued/running states, then returns
+    /// its final status document. Each request asks the server to hold it
+    /// open (`GET /jobs/:id?wait_ms=`) for the next delay of the fleet
+    /// retry schedule ([`fsp_fleet::Backoff`]); the server answers as soon
+    /// as the job settles, so the schedule only sets how often a long job
+    /// is re-asked about, never how late its end is seen.
     ///
     /// # Errors
     ///
@@ -106,18 +123,23 @@ impl Client {
         let deadline = Instant::now() + timeout;
         let mut backoff = fsp_fleet::Backoff::poll(fsp_fleet::wire::frame_fnv(id.as_bytes()));
         loop {
-            let status = self.status(id)?;
+            // Never wait past the caller's deadline.
+            let wait = backoff
+                .next_delay()
+                .min(deadline.saturating_duration_since(Instant::now()));
+            let status = expect_json(self.request(
+                "GET",
+                &format!("/jobs/{id}?wait_ms={}", wait.as_millis()),
+                None,
+            )?)?;
             match status.get("state").and_then(Json::as_str) {
                 Some("queued" | "running") => {}
                 Some(_) => return Ok(status),
                 None => return Err("status document missing `state`".to_owned()),
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(format!("timed out waiting for {id}"));
             }
-            // Never sleep past the caller's deadline.
-            std::thread::sleep(backoff.next_delay().min(deadline - now));
         }
     }
 

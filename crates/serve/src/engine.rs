@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use fsp_core::{PruningConfig, PruningPipeline};
 use fsp_fleet::lease::{ChunkSpec, FleetConfig, LeaseTable, Submission};
 use fsp_fleet::wire::{OutcomeFrame, TraceFrame};
+use fsp_fleet::MAX_POLL_WAIT;
 use fsp_inject::{CampaignObserver, Experiment, InjectionTarget, SiteSpace, WeightedSite};
 use fsp_protect::{
     harden, harden_and_verify, plan_protection, remap_sites, HardenConfig, PlanInputs,
@@ -135,6 +136,9 @@ struct Shared {
     jobs_dir: PathBuf,
     store: Mutex<OutcomeStore>,
     jobs: Mutex<BTreeMap<String, JobRecord>>,
+    /// Notified when a job leaves the queued/running states, and on
+    /// shutdown: wakes [`Engine::wait_job`] and [`Engine::wait_idle`].
+    jobs_settled: Condvar,
     queue: Mutex<VecDeque<String>>,
     queue_cv: Condvar,
     cancel_flags: Mutex<HashMap<String, Arc<AtomicBool>>>,
@@ -246,6 +250,7 @@ impl Engine {
             jobs_dir,
             store: Mutex::new(store),
             jobs: Mutex::new(jobs),
+            jobs_settled: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             cancel_flags: Mutex::new(HashMap::new()),
@@ -335,6 +340,29 @@ impl Engine {
         Ok(id)
     }
 
+    /// Blocks until job `id` leaves the queued and running states, `wait`
+    /// (capped at [`MAX_POLL_WAIT`]) passes or the engine shuts down — the
+    /// `wait_ms` of `GET /jobs/:id`. Returns at once for an unknown job.
+    pub fn wait_job(&self, id: &str, wait: Duration) {
+        let end = Instant::now() + wait.min(MAX_POLL_WAIT);
+        let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
+        loop {
+            let now = Instant::now();
+            if jobs.get(id).is_none_or(|r| !r.state.is_active())
+                || now >= end
+                || self.shared.shutdown.load(Ordering::Relaxed)
+            {
+                return;
+            }
+            jobs = self
+                .shared
+                .jobs_settled
+                .wait_timeout(jobs, end - now)
+                .expect("engine poisoned")
+                .0;
+        }
+    }
+
     /// The job's full status document, or `None` if unknown.
     #[must_use]
     pub fn job_json(&self, id: &str) -> Option<Json> {
@@ -403,6 +431,7 @@ impl Engine {
                 record.state = JobState::Cancelled;
                 persist(&self.shared.jobs_dir, record);
                 self.shared.metrics.jobs_cancelled.inc();
+                self.shared.jobs_settled.notify_all();
                 true
             }
             Some(JobState::Running) => {
@@ -417,12 +446,17 @@ impl Engine {
     }
 
     /// Grants a lease to `worker`, requeuing expired leases first
-    /// (`POST /leases`). When nothing is available the body carries the
-    /// count of still-pending chunks so idle workers can tell a drained
-    /// fleet from a fully-leased one.
+    /// (`POST /leases`), waiting up to `wait` (capped at
+    /// [`MAX_POLL_WAIT`]) for a chunk to become available. When none does
+    /// — or the engine shuts down meanwhile — the body carries the count
+    /// of still-pending chunks so idle workers can tell a drained fleet
+    /// from a fully-leased one.
     #[must_use]
-    pub fn fleet_acquire(&self, worker: &str) -> Json {
-        let acquired = self.shared.leases.acquire(worker);
+    pub fn fleet_acquire(&self, worker: &str, wait: Duration) -> Json {
+        let acquired = self
+            .shared
+            .leases
+            .acquire_wait(worker, wait.min(MAX_POLL_WAIT));
         match acquired.grant {
             Some(grant) => {
                 fsp_obs::instant(
@@ -583,29 +617,37 @@ impl Engine {
     /// returns whether the engine went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
         loop {
-            let busy = {
-                let jobs = self.shared.jobs.lock().expect("engine poisoned");
-                jobs.values().any(|r| r.state.is_active())
-            };
-            if !busy {
+            if !jobs.values().any(|r| r.state.is_active()) {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            jobs = self
+                .shared
+                .jobs_settled
+                .wait_timeout(jobs, deadline - now)
+                .expect("engine poisoned")
+                .0;
         }
     }
 
     /// Stops the worker pool without waiting for in-flight jobs to finish
     /// — deliberately equivalent to a crash for resumability: running jobs
     /// stop at their next chunk boundary, stay `running` on disk, and
-    /// resume (from the store) on the next [`Engine::open`]. Flushes and
+    /// resume (from the store) on the next [`Engine::open`]. Requests
+    /// blocked in a lease or job wait return at once. Flushes and
     /// checkpoints the store before returning.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.queue_cv.notify_all();
+        self.shared.leases.close();
+        // Taking the lock orders the flag before any waiter's next check.
+        drop(self.shared.jobs.lock().expect("engine poisoned"));
+        self.shared.jobs_settled.notify_all();
         let workers: Vec<_> = self
             .workers
             .lock()
@@ -937,6 +979,7 @@ fn run_job(shared: &Shared, id: &str) {
         }
     }
     persist(&shared.jobs_dir, record);
+    shared.jobs_settled.notify_all();
 }
 
 fn execute(job: Job<'_>, spec: &JobSpec) -> Result<JobResult, RunEnd> {

@@ -4,11 +4,11 @@
 //! |--------|--------------------------|----------------------------------------|
 //! | POST   | `/jobs`                  | job spec JSON (+ optional `"fleet"`) → `{"id": "job-n"}` |
 //! | GET    | `/jobs`                  | array of job status documents          |
-//! | GET    | `/jobs/:id`              | job status document                    |
-//! | GET    | `/jobs/:id/progress`     | live per-outcome estimates + intervals |
+//! | GET    | `/jobs/:id[?wait_ms=n]`  | job status document, once the job leaves queued/running or `n` ms pass |
+//! | GET    | `/jobs/:id/progress[?wait_ms=n]` | live per-outcome estimates + intervals (same wait) |
 //! | GET    | `/jobs/:id/result`       | canonical result document (409 early)  |
 //! | POST   | `/jobs/:id/cancel`       | `{"cancelled": true}`                  |
-//! | POST   | `/leases`                | `{"worker": name}` → lease grant or `{"lease": null, "pending": n}` |
+//! | POST   | `/leases`                | `{"worker": name, "wait_ms": n}` → lease grant as soon as a chunk is available, or `{"lease": null, "pending": n}` after `wait_ms` |
 //! | POST   | `/leases/:id/heartbeat`  | `{"worker": name}` → `{"ttl_ms": n}` (404 gone, 409 stolen) |
 //! | POST   | `/leases/:id/outcomes`   | checksummed outcome frame → `{"accepted": n}` |
 //! | GET    | `/fleet`                 | fleet status (chunks, workers)         |
@@ -16,6 +16,11 @@
 //! | GET    | `/metrics`               | Prometheus text exposition             |
 //! | GET    | `/trace`                 | Chrome trace-event JSON (span timeline) |
 //! | GET    | `/dashboard`             | self-contained live-monitoring page    |
+//!
+//! `wait_ms` is optional (absent: answer at once), must be a whole,
+//! non-negative number of milliseconds (anything else is a 400) and is
+//! clamped to [`fsp_fleet::MAX_POLL_WAIT`]. Engine shutdown ends every
+//! wait at once.
 //!
 //! Connections are `Connection: close`, one thread per request — campaign
 //! throughput, not HTTP throughput, is the bottleneck by design. Every
@@ -219,7 +224,71 @@ fn error_body(message: &str) -> String {
 
 const JSON: &str = "application/json";
 
-fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'static str, String) {
+/// Largest `wait_ms` a JSON number carries exactly (2^53).
+const MAX_EXACT_MS: f64 = 9_007_199_254_740_992.0;
+
+/// The `wait_ms` field of a request body: absent means no wait.
+///
+/// # Errors
+///
+/// Anything but a whole, non-negative number of at most 2^53 ms: a
+/// string, `null`, a negative, fractional or overflowing number.
+fn body_wait(body: &Json) -> Result<Duration, String> {
+    match body.get("wait_ms") {
+        None => Ok(Duration::ZERO),
+        Some(Json::Num(ms)) if ms.fract() == 0.0 && (0.0..=MAX_EXACT_MS).contains(ms) => {
+            Ok(Duration::from_millis(*ms as u64))
+        }
+        Some(other) => Err(format!(
+            "`wait_ms` must be a whole number of milliseconds, got {other}"
+        )),
+    }
+}
+
+/// The `wait_ms` query parameter: absent means no wait.
+///
+/// # Errors
+///
+/// A value that is not a plain run of decimal digits fitting a `u64`.
+fn query_wait(query: &str) -> Result<Duration, String> {
+    let Some(value) = query
+        .split('&')
+        .find_map(|pair| pair.strip_prefix("wait_ms="))
+    else {
+        return Ok(Duration::ZERO);
+    };
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!(
+            "`wait_ms` must be a whole number of milliseconds, got `{value}`"
+        ));
+    }
+    value
+        .parse()
+        .map(Duration::from_millis)
+        .map_err(|_| format!("`wait_ms` out of range: `{value}`"))
+}
+
+/// A job document (`render`) after the query's `wait_ms` wait.
+fn job_doc(
+    engine: &Engine,
+    id: &str,
+    query: &str,
+    render: fn(&Engine, &str) -> Option<Json>,
+) -> (u16, &'static str, String) {
+    match query_wait(query) {
+        Ok(wait) => {
+            engine.wait_job(id, wait);
+            match render(engine, id) {
+                Some(doc) => (200, JSON, doc.to_string()),
+                None => (404, JSON, error_body("no such job")),
+            }
+        }
+        Err(e) => (400, JSON, error_body(&e)),
+    }
+}
+
+fn route(engine: &Engine, method: &str, target: &str, body: &str) -> (u16, &'static str, String) {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     match (method, path) {
         ("POST", "/jobs") => match Json::parse(body).and_then(|v| {
             let fleet = v.get("fleet").and_then(Json::as_bool).unwrap_or(false);
@@ -229,13 +298,13 @@ fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'stati
             Err(e) => (400, JSON, error_body(&e)),
         },
         ("GET", "/jobs") => (200, JSON, engine.jobs_json().to_string()),
-        ("POST", "/leases") => match Json::parse(body) {
-            Ok(v) => {
+        ("POST", "/leases") => match Json::parse(body).and_then(|v| Ok((body_wait(&v)?, v))) {
+            Ok((wait, v)) => {
                 let worker = v
                     .get("worker")
                     .and_then(Json::as_str)
                     .unwrap_or("anonymous");
-                (200, JSON, engine.fleet_acquire(worker).to_string())
+                (200, JSON, engine.fleet_acquire(worker, wait).to_string())
             }
             Err(e) => (400, JSON, error_body(&e)),
         },
@@ -274,10 +343,7 @@ fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'stati
         ("GET", "/trace") => (200, JSON, engine.trace_json()),
         ("GET", _) if path.starts_with("/jobs/") && path.ends_with("/progress") => {
             let id = &path["/jobs/".len()..path.len() - "/progress".len()];
-            match engine.progress_json(id) {
-                Some(progress) => (200, JSON, progress.to_string()),
-                None => (404, JSON, error_body("no such job")),
-            }
+            job_doc(engine, id, query, Engine::progress_json)
         }
         ("GET", _) if path.starts_with("/jobs/") && path.ends_with("/result") => {
             let id = &path["/jobs/".len()..path.len() - "/result".len()];
@@ -309,10 +375,7 @@ fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'stati
             }
         }
         ("GET", _) if path.starts_with("/jobs/") => {
-            match engine.job_json(&path["/jobs/".len()..]) {
-                Some(job) => (200, JSON, job.to_string()),
-                None => (404, JSON, error_body("no such job")),
-            }
+            job_doc(engine, &path["/jobs/".len()..], query, Engine::job_json)
         }
         ("GET" | "POST", _) => (404, JSON, error_body("no such route")),
         _ => (405, JSON, error_body("method not allowed")),
