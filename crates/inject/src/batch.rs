@@ -24,7 +24,17 @@
 //! Per dynamic instruction the stream is decoded, its operands resolved and
 //! its result evaluated **once**; each lane then pays only for events that
 //! can touch its divergence set (screened by per-thread and per-address
-//! bitmasks over all lanes at once). Lanes retire independently:
+//! bitmasks over all lanes at once).
+//!
+//! A lane whose base register diverges follows its own address
+//! `lane base + offset` through [`fsp_sim::RetireEvent::mem`], a read-only
+//! view of the memories after the retirement. A load reads the lane's
+//! overlay entry, else the golden word — the overwritten word
+//! ([`fsp_sim::MemAccess::prev`]) if this same instruction stored there.
+//! A store leaves the golden address holding the lane's previous word and
+//! the lane address holding the lane's value: two ordinary overlay
+//! entries, which the screens, the convergence check and the CTA cut
+//! handle like any other. Lanes retire independently:
 //!
 //! * **Converged** — the lane's set empties after its flip: machine state
 //!   equals golden state, determinism forces the golden outcome → `Masked`.
@@ -37,19 +47,24 @@
 //!   `Sdc` or `Masked` without materializing its memory. A lane the rule
 //!   refuses keeps tracking until a later boundary or the end of the
 //!   replay, where the overlay decides the same way.
-//! * **Demoted** — the lane would leave the golden stream (a diverged
-//!   predicate flips a guard, a diverged register feeds an address) or
-//!   outgrows its set budget: only *that lane* falls back to the solo path;
-//!   the batch keeps going.
+//! * **Trapped** — the lane's own address is out of bounds or misaligned:
+//!   its run faults on this instruction → `Crash`, with no run at all.
+//! * **Demoted** — a diverged predicate would steer a guard differently
+//!   (the lane leaves the golden stream), or the lane outgrows its set
+//!   budget: only *that lane* falls back to the solo path; the batch keeps
+//!   going.
 //!
-//! A lane that is never demoted provably retires exactly the golden stream
-//! (every guard it would evaluate differently and every address it would
-//! compute differently demotes it first), so tracked lanes can never crash,
-//! hang or trap — those outcomes always surface through the solo fallback.
+//! A lane that is never demoted provably retires exactly the golden
+//! *instruction* stream (every guard it would evaluate differently demotes
+//! it first), so the first fault its run can take is an access through a
+//! divergent address — and that is exactly where `Trapped` resolves it.
+//! Tracked lanes can never hang or exit through `trap`: those outcomes
+//! surface only through the solo fallback.
 
 use fsp_isa::{Dest, MemRef, MemSpace, Opcode, Operand, PredTest, Register};
 use fsp_sim::{
-    apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, MemBlock, RetireEvent,
+    apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, MemAccess, MemBlock,
+    RetireEvent,
 };
 use fsp_stats::Outcome;
 
@@ -96,6 +111,9 @@ pub(crate) enum RetireCause {
     /// Stream ended, or was cut at a CTA boundary, with a divergent output
     /// word.
     EndSdc,
+    /// The lane's own address for a memory operand is out of bounds or
+    /// misaligned: its run faults on that instruction → `Crash`.
+    Trapped,
 }
 
 /// Why a lane was handed back to the solo path.
@@ -103,8 +121,6 @@ pub(crate) enum RetireCause {
 pub(crate) enum DemoteCause {
     /// A diverged predicate would steer a guard differently.
     Control,
-    /// A diverged register feeds an address computation.
-    Address,
     /// Divergence-set entry cap exceeded.
     Capacity,
     /// Post-flip tracking budget exhausted.
@@ -132,6 +148,14 @@ enum LaneState {
     Done(Outcome, RetireCause),
     /// Handed back to the solo path.
     Demoted(DemoteCause),
+}
+
+/// Where a lane's store lands, and the golden word there after the
+/// retirement.
+#[derive(Debug, Clone, Copy)]
+struct LaneAddr {
+    addr: u32,
+    golden: u32,
 }
 
 /// One shadow lane: a fault site and its exact divergence set relative to
@@ -558,11 +582,62 @@ impl<'a> BatchInjectionHook<'a> {
         self.resolve(li, Outcome::Masked, RetireCause::Untriggered);
     }
 
-    /// Does `m`'s base register currently diverge in lane `li`?
-    fn divergent_base(&self, li: usize, tid: u32, m: &MemRef) -> bool {
-        m.base
+    /// Lane `li`'s address for memory operand `m`, whose golden access
+    /// is `a`: the golden address unless `m`'s base register diverges.
+    fn lane_addr(&self, li: usize, tid: u32, m: &MemRef, a: &MemAccess) -> u32 {
+        match m
+            .base
             .and_then(reg_key)
-            .is_some_and(|k| self.lane_reg(li, tid, k).is_some())
+            .and_then(|k| self.lane_reg(li, tid, k))
+        {
+            Some(base) => base.wrapping_add(m.offset),
+            None => a.addr,
+        }
+    }
+
+    /// The word lane `li` loads at `addr` for the golden load `a`: its own
+    /// overlay entry, else the golden word as it stood before this
+    /// retirement. `None` if `addr` faults.
+    fn lane_load(&self, li: usize, ev: &RetireEvent<'_>, a: &MemAccess, addr: u32) -> Option<u32> {
+        let golden = if addr == a.addr {
+            a.value
+        } else {
+            let now = ev.mem.load(a.space, addr).ok()?;
+            // A store of this same instruction has already overwritten the
+            // word the lane reads before it.
+            ev.accesses
+                .iter()
+                .find(|s| s.is_store && s.space == a.space && s.addr == addr)
+                .map_or(now, |s| s.prev)
+        };
+        let owner = self.mem_owner(a.space, ev.tid);
+        Some(
+            self.lane_mem(li, space_code(a.space), owner, addr)
+                .unwrap_or(golden),
+        )
+    }
+
+    /// Commits lane `li`'s store of `value` to `at.addr`, where the golden
+    /// word now is `at.golden`, against the golden store `a`. A store to
+    /// another address leaves the golden address holding the lane's
+    /// previous word.
+    fn lane_store(&mut self, li: usize, tid: u32, a: &MemAccess, at: LaneAddr, value: u32) {
+        let space = space_code(a.space);
+        let owner = self.mem_owner(a.space, tid);
+        if at.addr != a.addr {
+            let before = self.lane_mem(li, space, owner, a.addr).unwrap_or(a.prev);
+            self.set_mem(li, space, owner, a.addr, before, a.value);
+        }
+        self.set_mem(li, space, owner, at.addr, value, at.golden);
+    }
+
+    /// Records lane `li`'s word at `addr` against the golden word there.
+    fn set_mem(&mut self, li: usize, space: u8, owner: u32, addr: u32, lane: u32, golden: u32) {
+        if lane != golden {
+            self.insert_mem(li, space, owner, addr, lane);
+        } else {
+            self.remove_mem(li, space, owner, addr);
+        }
     }
 
     /// Re-executes one retirement from lane `li`'s perspective: substitute
@@ -594,30 +669,33 @@ impl<'a> BatchInjectionHook<'a> {
                 }
             }
         }
-        // A diverged register feeding an address: the lane touches a word
-        // the golden stream does not — untrackable.
-        for op in instr.src.iter().flatten() {
-            if let Operand::Mem(m) = op {
-                if self.divergent_base(li, tid, m) {
-                    self.demote(li, DemoteCause::Address);
-                    return;
-                }
-            }
-        }
-        for d in instr.dst.iter().flatten() {
-            if let Dest::Mem(m) = d {
-                if self.divergent_base(li, tid, m) {
-                    self.demote(li, DemoteCause::Address);
-                    return;
-                }
-            }
+        // The store, if any, and the address the lane stores to. A lane
+        // address the machine would fault on is the lane run's first
+        // fault: every earlier retirement of it matched the golden stream.
+        let mut store = None;
+        if let Some(a) = ev.accesses.iter().find(|a| a.is_store) {
+            let m = instr.dst.iter().flatten().find_map(|d| match d {
+                Dest::Mem(m) => Some(m),
+                Dest::Reg(_) => None,
+            });
+            let addr = m.map_or(a.addr, |m| self.lane_addr(li, tid, m, a));
+            let golden = if addr == a.addr {
+                Ok(a.value)
+            } else {
+                ev.mem.load(a.space, addr)
+            };
+            let Ok(golden) = golden else {
+                self.resolve(li, Outcome::CRASH, RetireCause::Trapped);
+                return;
+            };
+            store = Some((*a, LaneAddr { addr, golden }));
         }
         // Build the lane's source values: golden unless the lane holds a
-        // divergence for the register read or the word loaded.
+        // divergence for the register read or loads a different word.
         let n = ev.srcs.len();
         let mut lane_srcs = [0u32; 4];
         let mut differs = false;
-        let mut access_cursor = 0usize;
+        let mut loads = ev.accesses.iter().filter(|a| !a.is_store);
         for (i, src) in lane_srcs.iter_mut().enumerate().take(n.min(4)) {
             let gv = ev.srcs[i];
             let lv = match instr.src.get(i).and_then(Option::as_ref) {
@@ -641,24 +719,18 @@ impl<'a> BatchInjectionHook<'a> {
                         }
                     }
                 }
-                Some(Operand::Mem(_)) => {
-                    // The next load access, in operand order (the base was
-                    // proven non-divergent above, so the lane loads the
-                    // same address).
-                    let mut lv = gv;
-                    while access_cursor < ev.accesses.len() {
-                        let a = ev.accesses[access_cursor];
-                        access_cursor += 1;
-                        if a.is_store {
-                            continue;
-                        }
-                        let space = space_code(a.space);
-                        let owner = self.mem_owner(a.space, tid);
-                        lv = self.lane_mem(li, space, owner, a.addr).unwrap_or(gv);
-                        break;
+                // The next load access, in operand order.
+                Some(Operand::Mem(m)) => match loads.next() {
+                    Some(a) => {
+                        let addr = self.lane_addr(li, tid, m, a);
+                        let Some(lv) = self.lane_load(li, ev, a, addr) else {
+                            self.resolve(li, Outcome::CRASH, RetireCause::Trapped);
+                            return;
+                        };
+                        lv
                     }
-                    lv
-                }
+                    None => gv,
+                },
                 _ => gv,
             };
             if lv != gv {
@@ -666,8 +738,8 @@ impl<'a> BatchInjectionHook<'a> {
             }
             *src = lv;
         }
-        let store = ev.accesses.iter().find(|a| a.is_store).copied();
-        if !differs {
+        let moved = store.is_some_and(|(a, at)| at.addr != a.addr);
+        if !differs && !moved {
             // The lane executes this instruction identically: every
             // destination it writes is re-proven golden.
             if has_result {
@@ -679,24 +751,18 @@ impl<'a> BatchInjectionHook<'a> {
                     }
                 }
             }
-            if let Some(a) = store {
+            if let Some((a, _)) = store {
                 let space = space_code(a.space);
                 let owner = self.mem_owner(a.space, tid);
                 self.remove_mem(li, space, owner, a.addr);
             }
             return;
         }
-        // Divergent sources: re-evaluate the instruction for the lane and
-        // diff each committed destination.
+        // Divergent sources or store address: re-evaluate the instruction
+        // for the lane and diff each committed destination.
         if instr.opcode == Opcode::St {
-            if let Some(a) = store {
-                let space = space_code(a.space);
-                let owner = self.mem_owner(a.space, tid);
-                if lane_srcs[0] != a.value {
-                    self.insert_mem(li, space, owner, a.addr, lane_srcs[0]);
-                } else {
-                    self.remove_mem(li, space, owner, a.addr);
-                }
+            if let Some((a, at)) = store {
+                self.lane_store(li, tid, &a, at, lane_srcs[0]);
             }
             return;
         }
@@ -704,7 +770,11 @@ impl<'a> BatchInjectionHook<'a> {
             return;
         }
         let g = *golden_res.get_or_insert_with(|| eval_op(instr, ev.srcs));
-        let l = eval_op(instr, &lane_srcs[..n.min(4)]);
+        let l = if differs {
+            eval_op(instr, &lane_srcs[..n.min(4)])
+        } else {
+            g
+        };
         for d in instr.dst.iter().flatten() {
             match d {
                 Dest::Reg(reg) if !reg.is_discard() => {
@@ -723,15 +793,9 @@ impl<'a> BatchInjectionHook<'a> {
                 }
                 Dest::Mem(_) => {
                     // Store-through-mov: the raw result value goes to
-                    // memory at the golden address.
-                    if let Some(a) = store {
-                        let space = space_code(a.space);
-                        let owner = self.mem_owner(a.space, tid);
-                        if l.0 != a.value {
-                            self.insert_mem(li, space, owner, a.addr, l.0);
-                        } else {
-                            self.remove_mem(li, space, owner, a.addr);
-                        }
+                    // memory.
+                    if let Some((a, at)) = store {
+                        self.lane_store(li, tid, &a, at, l.0);
                     }
                 }
                 Dest::Reg(_) => {}
@@ -931,7 +995,7 @@ impl ExecHook for BatchInjectionHook<'_> {
 #[must_use]
 pub fn batch_version() -> u64 {
     let mut h = fsp_obs::Fnv1a::new();
-    h.write_u64(1); // lane-model revision
+    h.write_u64(2); // lane-model revision
     h.write_u64(MAX_BATCH as u64);
     h.finish()
 }
@@ -939,9 +1003,13 @@ pub fn batch_version() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InjectionHook;
     use fsp_isa::assemble;
-    use fsp_sim::{Launch, MemBlock, Simulator};
+    use fsp_sim::{Launch, MemBlock, NopHook, SimFault, Simulator};
 
+    /// Runs `sites` as lanes of one batched replay over `words` words of
+    /// global memory (all of it the output region), and checks every lane
+    /// the batch resolved against the site's own injected run.
     fn run_batch(
         src: &str,
         words: usize,
@@ -959,7 +1027,39 @@ mod tests {
             (0, words),
         );
         Simulator::new().run(&launch, &mut mem, &mut hook).unwrap();
-        (hook.finish(), mem)
+        let ends = hook.finish();
+        // The replay stops once every lane resolved: the lanes' runs are
+        // judged against a full golden run.
+        let mut golden = MemBlock::with_words(words);
+        Simulator::new()
+            .run(&launch, &mut golden, &mut NopHook)
+            .unwrap();
+        for (&site, end) in sites.iter().zip(&ends) {
+            if let LaneEnd::Resolved(outcome, _) = end {
+                let mut faulty = MemBlock::with_words(words);
+                let mut solo = InjectionHook::with_model(site, model);
+                let solo_outcome = match Simulator::new().run(&launch, &mut faulty, &mut solo) {
+                    Err(SimFault::BudgetExceeded) => Outcome::HANG,
+                    Err(SimFault::DetectedExit { .. }) => Outcome::Detected,
+                    Err(_) => Outcome::CRASH,
+                    Ok(_) if faulty == golden => Outcome::Masked,
+                    Ok(_) => Outcome::Sdc,
+                };
+                assert_eq!(
+                    *outcome, solo_outcome,
+                    "lane {site:?} disagrees with its run"
+                );
+            }
+        }
+        (ends, mem)
+    }
+
+    fn site(dyn_idx: u32, bit: u32) -> FaultSite {
+        FaultSite {
+            tid: 0,
+            dyn_idx,
+            bit,
+        }
     }
 
     #[test]
@@ -1172,6 +1272,149 @@ mod tests {
         assert_eq!(
             ends,
             vec![LaneEnd::Resolved(Outcome::Masked, RetireCause::Converged)]
+        );
+    }
+
+    #[test]
+    fn divergent_load_reads_another_words_golden_value() {
+        let ends = run_batch(
+            r#"
+            mov.u32 $r5, 0x7
+            st.global.u32 [$r124], $r5
+            st.global.u32 [$r124+0x4], $r5
+            mov.u32 $r6, 0x9
+            st.global.u32 [$r124+0x8], $r6
+            mov.u32 $r1, 0x0
+            ld.global.u32 $r2, [$r1]
+            st.global.u32 [$r124+0xc], $r2
+            exit
+            "#,
+            4,
+            // The base flips to word 1 (same golden value as word 0) and
+            // to word 2 (a different one).
+            &[site(5, 2), site(5, 3)],
+            FaultModel::SingleBitFlip,
+        )
+        .0;
+        assert_eq!(
+            ends,
+            vec![
+                LaneEnd::Resolved(Outcome::Masked, RetireCause::Converged),
+                LaneEnd::Resolved(Outcome::Sdc, RetireCause::EndSdc),
+            ]
+        );
+    }
+
+    #[test]
+    fn divergent_store_keeps_the_golden_address_divergent() {
+        // The lane stores to word 1 and leaves word 0 at its old value;
+        // the golden run then writes word 1 too, so only word 0 differs.
+        let ends = run_batch(
+            r#"
+            mov.u32 $r5, 0x9
+            mov.u32 $r1, 0x0
+            st.global.u32 [$r1], $r5
+            st.global.u32 [$r124+0x4], $r5
+            exit
+            "#,
+            2,
+            &[site(1, 2)],
+            FaultModel::SingleBitFlip,
+        )
+        .0;
+        assert_eq!(
+            ends,
+            vec![LaneEnd::Resolved(Outcome::Sdc, RetireCause::EndSdc)]
+        );
+    }
+
+    #[test]
+    fn divergent_store_converges_once_both_words_are_rewritten() {
+        let ends = run_batch(
+            r#"
+            mov.u32 $r5, 0x9
+            mov.u32 $r1, 0x0
+            st.global.u32 [$r1], $r5
+            st.global.u32 [$r124], $r5
+            st.global.u32 [$r124+0x4], $r5
+            exit
+            "#,
+            2,
+            &[site(1, 2)],
+            FaultModel::SingleBitFlip,
+        )
+        .0;
+        assert_eq!(
+            ends,
+            vec![LaneEnd::Resolved(Outcome::Masked, RetireCause::Converged)]
+        );
+    }
+
+    #[test]
+    fn faulting_lane_addresses_trap_as_crash() {
+        // Global is 8 bytes, shared 16 KiB, local 4 KiB: bit 0 of a base
+        // misaligns it, bit 20 puts it out of bounds in every space.
+        let (ends, _) = run_batch(
+            r#"
+            mov.u32 $r1, 0x0
+            ld.global.u32 $r2, [$r1]
+            mov.u32 $r3, 0x20
+            st.shared.u32 s[$r3], $r2
+            mov.u32 $r4, 0x24
+            ld.shared.u32 $r5, s[$r4]
+            mov.u32 $r6, 0x4
+            st.global.u32 [$r6], $r5
+            mov.u32 $r7, 0x8
+            st.local.u32 l[$r7], $r5
+            exit
+            "#,
+            2,
+            &[
+                site(0, 0),
+                site(0, 20),
+                site(2, 0),
+                site(2, 20),
+                site(4, 0),
+                site(4, 20),
+                site(6, 0),
+                site(6, 20),
+                site(8, 0),
+                site(8, 20),
+                // In bounds: the lane reads word 1 (golden 0) and tracks on.
+                site(0, 2),
+            ],
+            FaultModel::SingleBitFlip,
+        );
+        let trapped = LaneEnd::Resolved(Outcome::CRASH, RetireCause::Trapped);
+        assert_eq!(ends[..10], [trapped; 10]);
+        assert_eq!(
+            ends[10],
+            LaneEnd::Resolved(Outcome::Masked, RetireCause::Converged)
+        );
+    }
+
+    #[test]
+    fn lane_load_of_a_word_stored_by_the_same_instruction_reads_the_old_word() {
+        // `mov [$r124], [$r1]` copies word 1 over word 0; the lane's base
+        // points at word 0 itself, so it copies word 0's old value.
+        let ends = run_batch(
+            r#"
+            mov.u32 $r5, 0x5
+            st.global.u32 [$r124], $r5
+            mov.u32 $r6, 0x9
+            st.global.u32 [$r124+0x4], $r6
+            mov.u32 $r1, 0x4
+            mov.u32 [$r124], [$r1]
+            exit
+            "#,
+            2,
+            &[site(4, 2)],
+            FaultModel::SingleBitFlip,
+        )
+        .0;
+        assert_eq!(
+            ends,
+            vec![LaneEnd::Resolved(Outcome::Sdc, RetireCause::EndSdc)]
         );
     }
 

@@ -215,8 +215,8 @@ const LANE_END_LABELS: [&str; 9] = [
     "untriggered",
     "end_masked",
     "end_sdc",
+    "trapped",
     "demoted_control",
-    "demoted_addr",
     "demoted_cap",
     "demoted_fuel",
     "demoted_replay",
@@ -228,8 +228,8 @@ fn lane_end_index(end: LaneEnd) -> usize {
         LaneEnd::Resolved(_, RetireCause::Untriggered) => 1,
         LaneEnd::Resolved(_, RetireCause::EndMasked) => 2,
         LaneEnd::Resolved(_, RetireCause::EndSdc) => 3,
-        LaneEnd::Demoted(DemoteCause::Control) => 4,
-        LaneEnd::Demoted(DemoteCause::Address) => 5,
+        LaneEnd::Resolved(_, RetireCause::Trapped) => 4,
+        LaneEnd::Demoted(DemoteCause::Control) => 5,
         LaneEnd::Demoted(DemoteCause::Capacity) => 6,
         LaneEnd::Demoted(DemoteCause::Fuel) => 7,
         LaneEnd::Demoted(DemoteCause::Replay) => 8,

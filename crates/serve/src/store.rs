@@ -35,8 +35,9 @@ use fsp_stats::Outcome;
 // The record codec lives in the fleet wire layer (`fsp_fleet::wire`):
 // the on-disk record format *is* the distributed outcome-frame format, so
 // a worker's submission decodes directly into store inserts, byte for
-// byte. Re-exported here so store users keep their historical paths.
-pub use fsp_fleet::wire::{decode_record, encode_record, OutcomeKey, RECORD_LEN};
+// byte.
+pub use fsp_fleet::wire::OutcomeKey;
+use fsp_fleet::wire::{decode_record, encode_record, RECORD_LEN};
 
 /// The on-disk outcome store: append-only log + atomic checkpoints, with
 /// the full index held in memory for O(1) lookups.

@@ -7,7 +7,7 @@ use fsp_isa::{
     CmpOp, Dest, Half, MemRef, MemSpace, Opcode, Operand, PredTest, Register, ScalarType,
 };
 
-use crate::hook::{ExecHook, MemAccess, RetireEvent, Writeback};
+use crate::hook::{ExecHook, MemAccess, MemView, RetireEvent, Writeback};
 use crate::mem::MemBlock;
 use crate::thread::{ThreadState, ThreadStatus};
 
@@ -99,6 +99,7 @@ impl Default for AccessLog {
                 addr: 0,
                 is_store: false,
                 value: 0,
+                prev: 0,
             }; 6],
             len: 0,
         }
@@ -180,23 +181,26 @@ impl ExecCtx<'_> {
             addr,
             is_store: false,
             value,
+            prev: value,
         });
         Ok(value)
     }
 
     fn store(&mut self, thread: &mut ThreadState, m: MemRef, value: u32) -> Result<(), SimFault> {
         let addr = self.resolve(thread, m);
+        let prev = match m.space {
+            MemSpace::Global => self.global.store(addr, value),
+            MemSpace::Shared => self.shared.store(addr, value),
+            MemSpace::Local => thread.local_mut().store(addr, value),
+        }?;
         self.accesses.push(MemAccess {
             space: m.space,
             addr,
             is_store: true,
             value,
+            prev,
         });
-        match m.space {
-            MemSpace::Global => self.global.store(addr, value),
-            MemSpace::Shared => self.shared.store(addr, value),
-            MemSpace::Local => thread.local_mut().store(addr, value),
-        }
+        Ok(())
     }
 
     fn resolve(&self, thread: &ThreadState, m: MemRef) -> u32 {
@@ -758,6 +762,11 @@ pub(crate) fn step<H: ExecHook>(
         instr,
         accesses: ctx.accesses.as_slice(),
         srcs: ctx.srcs.as_slice(),
+        mem: MemView {
+            global: ctx.global,
+            shared: ctx.shared,
+            local: thread.local.as_deref(),
+        },
     });
     thread.icnt += 1;
     thread.pc = next_pc;

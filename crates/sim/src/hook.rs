@@ -2,7 +2,9 @@
 
 use fsp_isa::{Instruction, MemSpace, PredTest, Register};
 
+use crate::exec::SimFault;
 use crate::mem::MemBlock;
+use crate::thread::LOCAL_WORDS;
 
 /// One memory word touched by a retiring instruction.
 ///
@@ -20,6 +22,39 @@ pub struct MemAccess {
     /// The word transferred: the value read for a load, the value
     /// committed for a store.
     pub value: u32,
+    /// The word the access overwrote: for a store, the word held there
+    /// before it; for a load, equal to `value`.
+    pub prev: u32,
+}
+
+/// Read-only view of the memories a retiring instruction's thread can
+/// address, as they stand after the retirement.
+#[derive(Debug, Clone, Copy)]
+pub struct MemView<'a> {
+    /// Global memory.
+    pub global: &'a MemBlock,
+    /// The running CTA's shared memory.
+    pub shared: &'a MemBlock,
+    /// The retiring thread's local memory; `None` until the thread first
+    /// touches it (it then reads as zeroes).
+    pub local: Option<&'a MemBlock>,
+}
+
+impl MemView<'_> {
+    /// Loads the word at byte address `addr` in `space`, failing exactly
+    /// as the machine would for the retiring thread.
+    ///
+    /// # Errors
+    ///
+    /// [`SimFault::Unaligned`] or [`SimFault::InvalidAccess`].
+    pub fn load(&self, space: MemSpace, addr: u32) -> Result<u32, SimFault> {
+        match (space, self.local) {
+            (MemSpace::Global, _) => self.global.load(addr),
+            (MemSpace::Shared, _) => self.shared.load(addr),
+            (MemSpace::Local, Some(local)) => local.load(addr),
+            (MemSpace::Local, None) => MemBlock::with_space(LOCAL_WORDS, space).load(addr),
+        }
+    }
 }
 
 /// An executed ("retired") instruction, reported once per guard-passing
@@ -36,6 +71,9 @@ pub struct RetireEvent<'a> {
     pub instr: &'a Instruction,
     /// Memory words the instruction touched, in operand order.
     pub accesses: &'a [MemAccess],
+    /// The memories after the instruction retired, for hooks that follow
+    /// a shadow value to an address the instruction did not touch.
+    pub mem: MemView<'a>,
     /// Processed source-operand values (after half-word selection and
     /// negation), in source-slot order. For `selp`, slot 2 holds the raw
     /// 4-bit flags of the steering predicate. Empty for control

@@ -69,7 +69,7 @@ pub use golden::{
     BoundaryRecorder, GlobalReadProfile, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries,
     GoldenRecorder, GoldenStore, GoldenThread, GoldenTrace,
 };
-pub use hook::{ExecHook, MemAccess, NopHook, RetireEvent, Writeback};
+pub use hook::{ExecHook, MemAccess, MemView, NopHook, RetireEvent, Writeback};
 pub use launch::Launch;
 pub use machine::{ExecMode, ResumeScratch, RunStats, Simulator};
 pub use mem::MemBlock;

@@ -128,15 +128,16 @@ impl MemBlock {
     }
 
     /// Stores `value` at byte address `addr`, materialising a private copy
-    /// of the addressed chunk if it is still shared.
+    /// of the addressed chunk if it is still shared, and returns the word
+    /// it overwrote.
     ///
     /// # Errors
     ///
     /// [`SimFault::Unaligned`] or [`SimFault::InvalidAccess`].
-    pub fn store(&mut self, addr: u32, value: u32) -> Result<(), SimFault> {
+    pub fn store(&mut self, addr: u32, value: u32) -> Result<u32, SimFault> {
         let i = self.index(addr)?;
-        Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT])[i & CHUNK_MASK] = value;
-        Ok(())
+        let word = &mut Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT])[i & CHUNK_MASK];
+        Ok(std::mem::replace(word, value))
     }
 
     /// Copies the whole block out into a dense vector (fingerprinting,
@@ -288,7 +289,8 @@ mod tests {
     #[test]
     fn load_store_roundtrip() {
         let mut m = MemBlock::with_words(4);
-        m.store(8, 0xDEAD_BEEF).unwrap();
+        assert_eq!(m.store(8, 0xDEAD_BEEF).unwrap(), 0);
+        assert_eq!(m.store(8, 0xDEAD_BEEF).unwrap(), 0xDEAD_BEEF);
         assert_eq!(m.load(8).unwrap(), 0xDEAD_BEEF);
         assert_eq!(m.load(0).unwrap(), 0);
     }
