@@ -118,7 +118,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -197,8 +197,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Arrays and objects nested deeper than this are rejected: the parser
+/// recurses once per level, and hostile input must not exhaust the stack.
+/// Every document the service and fleet exchange nests a few levels deep.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => expect_literal(bytes, pos, "null", Json::Null),
@@ -214,7 +225,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -242,7 +253,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -331,9 +342,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    // JSON has no infinities: an overflowing literal (`1e999`) is an
+    // error, not a value that would re-encode as `null`.
     text.parse::<f64>()
+        .ok()
+        .filter(|n| n.is_finite())
         .map(Json::Num)
-        .map_err(|_| format!("bad number `{text}` at byte {start}"))
+        .ok_or_else(|| format!("bad number `{text}` at byte {start}"))
 }
 
 #[cfg(test)]
@@ -386,6 +401,17 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn rejects_deep_nesting_and_overflowing_numbers() {
+        let deep = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 2)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse("[-1e400]").is_err());
+        assert_eq!(Json::parse("1e-400"), Ok(Json::Num(0.0)));
     }
 
     #[test]

@@ -24,16 +24,15 @@
 //! would have written locally — the store collapses duplicates and the
 //! final profile cannot depend on which worker ran what.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use fsp_inject::{CampaignObserver, Experiment, WeightedSite};
-use fsp_workloads::{Scale, Workload};
+use fsp_inject::{CacheHold, CampaignObserver, Prepared, WeightedSite};
+use fsp_workloads::Workload;
 
 use crate::json::Json;
 use crate::lease::Grant;
@@ -127,29 +126,35 @@ impl CampaignObserver for LeaseObserver<'_> {
     }
 }
 
-/// The prepared experiment for `kernel`, from a process-wide cache.
-///
-/// [`Experiment`] borrows its workload, so cache entries are leaked to
-/// `'static`. Every worker loop in the process shares the cache, and a
-/// kernel is prepared at most once (under the lock, so concurrent workers
-/// wait for the first preparation instead of repeating it): the leak is
-/// bounded by the registry size (17 kernels), however many workers or
-/// fleet jobs the process runs.
-fn prepared(kernel: &str) -> Result<&'static Experiment<'static, Workload>, String> {
-    type Cache = BTreeMap<String, &'static Experiment<'static, Workload>>;
-    static CACHE: Mutex<Cache> = Mutex::new(BTreeMap::new());
-    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(exp) = cache.get(kernel) {
-        return Ok(exp);
+/// The kernels a worker loop has prepared, by the grant key
+/// `(fingerprint, keyed launch hash)` each was checked against, so a
+/// repeat lease builds nothing. The loop holds the process-wide
+/// [`fsp_workloads::experiments`] cache, so every loop in the process, and
+/// a coordinator engine sharing it, prepares a kernel once.
+struct Kernels {
+    by_grant: HashMap<(u64, u64), Prepared<Workload>>,
+    _hold: CacheHold<'static, Workload>,
+}
+
+impl Kernels {
+    /// The prepared kernel `grant` names.
+    fn get(&mut self, grant: &Grant) -> Result<&Prepared<Workload>, String> {
+        match self.by_grant.entry((grant.fingerprint, grant.launch)) {
+            Entry::Occupied(entry) => Ok(entry.into_mut()),
+            Entry::Vacant(entry) => {
+                let prepared = fsp_workloads::prepared(&grant.kernel)?;
+                let (local_fp, _) = prepared.key();
+                if local_fp != grant.fingerprint {
+                    return Err(format!(
+                        "kernel `{}` fingerprint mismatch (lease {:#x}, local {:#x}): \
+                         worker and coordinator run different kernel sources",
+                        grant.kernel, grant.fingerprint, local_fp
+                    ));
+                }
+                Ok(entry.insert(prepared))
+            }
+        }
     }
-    let workload = fsp_workloads::by_id(kernel, Scale::Eval)
-        .ok_or_else(|| format!("lease names unknown kernel `{kernel}`"))?;
-    let workload: &'static Workload = Box::leak(Box::new(workload));
-    let experiment =
-        Experiment::prepare(workload).map_err(|e| format!("preparing `{kernel}`: {e}"))?;
-    let experiment: &'static Experiment<'static, Workload> = Box::leak(Box::new(experiment));
-    cache.insert(kernel.to_owned(), experiment);
-    Ok(experiment)
 }
 
 /// Runs the worker loop until the fleet drains (`exit_when_idle`), `stop`
@@ -165,6 +170,10 @@ fn prepared(kernel: &str) -> Result<&'static Experiment<'static, Workload>, Stri
 /// handled silently — they are normal fleet weather.
 pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSummary, String> {
     let mut summary = WorkerSummary::default();
+    let mut kernels = Kernels {
+        by_grant: HashMap::new(),
+        _hold: fsp_workloads::experiments().hold(),
+    };
     let seed = crate::wire::frame_fnv(config.name.as_bytes());
     let mut poll = Backoff::poll(seed);
     let mut failures = 0u32;
@@ -227,7 +236,7 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
             summary.abandoned = true;
             return Ok(summary);
         }
-        if execute_lease(config, &grant, grant_received_ns, stop)? {
+        if execute_lease(config, &mut kernels, &grant, grant_received_ns, stop)? {
             summary.chunks += 1;
             summary.sites += grant.sites.len();
         }
@@ -240,20 +249,13 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
 /// stopped; the chunk will be re-served).
 fn execute_lease(
     config: &WorkerConfig,
+    kernels: &mut Kernels,
     grant: &Grant,
     grant_received_ns: u64,
     stop: &AtomicBool,
 ) -> Result<bool, String> {
     let lease_span = fsp_obs::span_labeled("worker.lease", grant.lease.clone());
-    let experiment = prepared(&grant.kernel)?;
-    let local_fp = experiment.target().fingerprint();
-    if local_fp != grant.fingerprint {
-        return Err(format!(
-            "kernel `{}` fingerprint mismatch (lease {:#x}, local {:#x}): \
-             worker and coordinator run different kernel sources",
-            grant.kernel, grant.fingerprint, local_fp
-        ));
-    }
+    let prepared = kernels.get(grant)?;
 
     let lost = AtomicBool::new(false);
     let completed = std::thread::scope(|scope| {
@@ -290,7 +292,7 @@ fn execute_lease(
         let sites: Vec<WeightedSite> = grant.sites.iter().map(|s| WeightedSite::from(*s)).collect();
         let observer = LeaseObserver { lost, stop };
         let campaign_span = fsp_obs::span("worker.campaign");
-        let run = experiment.run_campaign_incremental(
+        let run = prepared.experiment().run_campaign_incremental(
             &sites,
             grant.model,
             config.campaign_workers,

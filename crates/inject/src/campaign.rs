@@ -16,7 +16,7 @@
 //! two paths are byte-identical in outcomes and SDC severities.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fsp_isa::PredTest;
 use fsp_sim::{
@@ -324,13 +324,18 @@ struct BatchRunMeta {
     lanes: u64,
 }
 
-/// A prepared injection experiment: golden output, initial memory image,
-/// calibrated hang budget, the golden trace and resumable checkpoints for
-/// one target.
+/// Everything [`Experiment::prepare`] derives from one fault-free run of a
+/// target: golden output, initial memory image, calibrated hang budget, the
+/// golden trace and resumable checkpoints. It reads nothing back from the
+/// target afterwards, so one `PreparedRun` behind an [`Arc`] serves every
+/// [`Experiment`] view of the same kernel and launch, in any number of
+/// jobs at once (see [`crate::ExperimentCache`]).
 #[derive(Debug)]
-pub struct Experiment<'a, T: InjectionTarget> {
-    target: &'a T,
+pub struct PreparedRun {
+    /// The launch, with the calibrated instruction budget applied.
     launch: Launch,
+    /// The target's output region, `(byte address, length in words)`.
+    output: (u32, usize),
     initial: MemBlock,
     golden: Vec<u32>,
     fault_free_instructions: u64,
@@ -354,10 +359,20 @@ pub struct Experiment<'a, T: InjectionTarget> {
     /// `fsp_inject_cta_cut_total` and `fsp_inject_cta_cut_refused_total`
     /// for this kernel.
     cut_metrics: CutMetrics,
-    fast_path: bool,
     /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
     /// simulator proved hung and cut short.
     hangs_predicted: fsp_obs::Counter,
+}
+
+/// A prepared injection experiment: a target plus its shared
+/// [`PreparedRun`], with this view's own engine settings (fast path on or
+/// off, lanes per batched replay). Views are cheap: changing a setting on
+/// one never affects another view of the same run.
+#[derive(Debug)]
+pub struct Experiment<'a, T: InjectionTarget> {
+    target: &'a T,
+    run: Arc<PreparedRun>,
+    fast_path: bool,
     /// Shadow lanes per batched replay (see [`Experiment::set_batch`]);
     /// `1` disables batching entirely.
     batch: usize,
@@ -395,18 +410,19 @@ impl ExecHook for PrepareHook<'_> {
     }
 }
 
-impl<'a, T: InjectionTarget> Experiment<'a, T> {
-    /// Runs the target fault-free — once — to capture the golden output,
+impl PreparedRun {
+    /// Runs `target` fault-free — once — to capture the golden output,
     /// calibrate the hang budget, record the golden trace (so
     /// [`Experiment::site_space`] needs no second run) and, for launches
     /// under [`FULL_TRACE_THREAD_LIMIT`] threads, snapshot resumable
-    /// checkpoints for the campaign fast path.
+    /// checkpoints for the campaign fast path. Each call records one
+    /// `inject.prepare` span.
     ///
     /// # Errors
     ///
     /// Returns the [`SimFault`] if the *fault-free* run itself faults —
     /// that is a workload bug, not an injection outcome.
-    pub fn prepare(target: &'a T) -> Result<Self, SimFault> {
+    pub fn prepare<T: InjectionTarget>(target: &T) -> Result<Self, SimFault> {
         let _prepare = fsp_obs::span("inject.prepare");
         let launch = target.launch();
         let initial = target.init_memory();
@@ -442,8 +458,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 (sim.run(&launch, &mut memory, &mut tracer)?, Vec::new())
             }
         };
-        let (addr, len) = target.output_region();
-        let golden = memory.read_words(addr, len);
+        let output = target.output_region();
+        let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
         let (golden_trace, boundaries) = match golden_rec {
             Some((values, cta_ends)) => (Some(values.finish()), cta_ends.finish()),
@@ -459,9 +475,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             .map(|t| t.global_write_profile(launch.threads_per_cta()))
             .unwrap_or_default();
         let cut_metrics = CutMetrics::new(launch.program().name());
-        Ok(Experiment {
-            target,
+        Ok(PreparedRun {
             launch: launch.instr_budget(budget),
+            output,
             initial,
             golden,
             fault_free_instructions: stats.instructions,
@@ -472,10 +488,38 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             global_writers,
             boundaries,
             cut_metrics,
-            fast_path: true,
             hangs_predicted,
-            batch: DEFAULT_BATCH,
         })
+    }
+}
+
+impl<'a, T: InjectionTarget> Experiment<'a, T> {
+    /// Prepares `target` afresh ([`PreparedRun::prepare`]) and returns a
+    /// view of it with the fast path on and the default batch size.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SimFault`] if the *fault-free* run itself faults —
+    /// that is a workload bug, not an injection outcome.
+    pub fn prepare(target: &'a T) -> Result<Self, SimFault> {
+        Ok(Self::from_prepared(
+            target,
+            Arc::new(PreparedRun::prepare(target)?),
+        ))
+    }
+
+    /// A view of an already prepared run, with the fast path on and the
+    /// default batch size. `run` must come from [`PreparedRun::prepare`] of
+    /// `target` or of a target with the same launch, memory image and
+    /// output region; [`crate::ExperimentCache`] keys its entries so.
+    #[must_use]
+    pub fn from_prepared(target: &'a T, run: Arc<PreparedRun>) -> Self {
+        Experiment {
+            target,
+            run,
+            fast_path: true,
+            batch: DEFAULT_BATCH,
+        }
     }
 
     /// The target being injected.
@@ -487,7 +531,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// Dynamic instructions retired by the fault-free run.
     #[must_use]
     pub fn fault_free_instructions(&self) -> u64 {
-        self.fault_free_instructions
+        self.run.fault_free_instructions
     }
 
     /// Fast-path injected runs of this kernel, process-wide, that the
@@ -495,7 +539,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// budget (the `fsp_inject_hang_predicted_total` series).
     #[must_use]
     pub fn hangs_predicted(&self) -> u64 {
-        self.hangs_predicted.get()
+        self.run.hangs_predicted.get()
     }
 
     /// Fast-path injected runs of this kernel, process-wide, stopped at a
@@ -504,7 +548,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// Batched lanes settled at a boundary count as cut runs too.
     #[must_use]
     pub fn cta_cuts(&self) -> u64 {
-        self.cut_metrics.cuts()
+        self.run.cut_metrics.cuts()
     }
 
     /// CTA boundaries of this kernel, process-wide, at which the cut rule
@@ -512,30 +556,30 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// `fsp_inject_cta_cut_refused_total` series, summed over reasons).
     #[must_use]
     pub fn cta_cut_refusals(&self) -> u64 {
-        self.cut_metrics.refusals()
+        self.run.cut_metrics.refusals()
     }
 
     /// The CTA-boundary cut rule over this experiment's golden run.
     fn cta_cut(&self) -> CtaCut<'_> {
         CtaCut::new(
-            &self.boundaries,
-            &self.global_writers,
-            self.target.output_region(),
-            &self.cut_metrics,
+            &self.run.boundaries,
+            &self.run.global_writers,
+            self.run.output,
+            &self.run.cut_metrics,
         )
     }
 
     /// The golden output words.
     #[must_use]
     pub fn golden(&self) -> &[u32] {
-        &self.golden
+        &self.run.golden
     }
 
     /// Resumable golden checkpoints captured by [`Experiment::prepare`]
     /// (empty for launches over [`FULL_TRACE_THREAD_LIMIT`] threads).
     #[must_use]
     pub fn num_checkpoints(&self) -> usize {
-        self.checkpoints.len()
+        self.run.checkpoints.len()
     }
 
     /// Enables or disables the checkpoint-resume / early-convergence fast
@@ -587,23 +631,26 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn site_space(&self, full_traces: impl IntoIterator<Item = u32>) -> SiteSpace {
         let requested: Vec<u32> = full_traces.into_iter().collect();
-        if self.trace_all || requested.iter().all(|&t| self.trace.full.contains(t)) {
+        if self.run.trace_all || requested.iter().all(|&t| self.run.trace.full.contains(t)) {
             let full: FullTraces = requested
                 .into_iter()
-                .map(|t| (t, self.trace.full.get(t).cloned().unwrap_or_default()))
+                .map(|t| (t, self.run.trace.full.get(t).cloned().unwrap_or_default()))
                 .collect();
             return SiteSpace::new(KernelTrace {
-                icnt: self.trace.icnt.clone(),
-                fault_bits: self.trace.fault_bits.clone(),
-                threads_per_cta: self.trace.threads_per_cta,
+                icnt: self.run.trace.icnt.clone(),
+                fault_bits: self.run.trace.fault_bits.clone(),
+                threads_per_cta: self.run.trace.threads_per_cta,
                 full,
             });
         }
-        let mut tracer = Tracer::new(self.launch.num_threads(), self.launch.threads_per_cta())
-            .with_full_traces(requested);
-        let mut memory = self.initial.clone();
+        let mut tracer = Tracer::new(
+            self.run.launch.num_threads(),
+            self.run.launch.threads_per_cta(),
+        )
+        .with_full_traces(requested);
+        let mut memory = self.run.initial.clone();
         Simulator::new()
-            .run(&self.launch, &mut memory, &mut tracer)
+            .run(&self.run.launch, &mut memory, &mut tracer)
             .expect("fault-free run cannot fault after successful prepare()");
         SiteSpace::new(tracer.finish())
     }
@@ -613,17 +660,17 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// this is the last one where the site's thread had retired at most
     /// `dyn_idx` instructions (the flip itself is still ahead).
     fn checkpoint_for(&self, site: crate::FaultSite) -> Option<&Checkpoint> {
-        let p = self
-            .checkpoints
-            .partition_point(|c| c.icnt(site.tid) <= site.dyn_idx);
-        p.checked_sub(1).map(|i| &self.checkpoints[i])
+        self.checkpoint_key(site)
+            .checked_sub(1)
+            .map(|i| &self.run.checkpoints[i])
     }
 
     /// Batch-group identity of a site's resume point: `0` for a cold start,
     /// `i + 1` for checkpoint `i`. Sites sharing a key restore identical
     /// machine state, so they can ride one replay.
     fn checkpoint_key(&self, site: crate::FaultSite) -> usize {
-        self.checkpoints
+        self.run
+            .checkpoints
             .partition_point(|c| c.icnt(site.tid) <= site.dyn_idx)
     }
 
@@ -639,7 +686,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn batch_group_key(&self, site: crate::FaultSite) -> (u32, usize) {
         (
-            site.tid / self.launch.threads_per_cta().max(1),
+            site.tid / self.run.launch.threads_per_cta().max(1),
             self.checkpoint_key(site),
         )
     }
@@ -665,20 +712,23 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         site: crate::FaultSite,
         model: crate::FaultModel,
     ) -> (Outcome, Option<f64>) {
-        let mut scratch = self.initial.clone();
+        let mut scratch = self.run.initial.clone();
         let mut resume = ResumeScratch::default();
         let (outcome, meta) = self.run_one_in(site, model, &mut scratch, &mut resume);
         if outcome != Outcome::Sdc {
             return (outcome, None);
         }
         let out = match meta.cut {
-            Some(cta) => self.cta_cut().output(cta, &scratch, &self.golden),
+            Some(cta) => self.cta_cut().output(cta, &scratch, &self.run.golden),
             None => {
-                let (addr, len) = self.target.output_region();
+                let (addr, len) = self.run.output;
                 scratch.read_words(addr, len)
             }
         };
-        (outcome, Some(crate::relative_l2_error(&self.golden, &out)))
+        (
+            outcome,
+            Some(crate::relative_l2_error(&self.run.golden, &out)),
+        )
     }
 
     /// Runs one injection in a caller-owned scratch memory block (reused
@@ -697,30 +747,30 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let mut meta = RunMeta::default();
         let mut fast_used = false;
         let mut bailed = false;
-        let result = if let (true, Some(golden_trace)) = (self.fast_path, &self.golden_trace) {
+        let result = if let (true, Some(golden_trace)) = (self.fast_path, &self.run.golden_trace) {
             fast_used = true;
             let mut hook = FastInjectionHook::new(
                 site,
                 model,
                 golden_trace,
-                &self.global_writers,
-                self.launch.threads_per_cta(),
+                &self.run.global_writers,
+                self.run.launch.threads_per_cta(),
             )
             .with_cut(self.cta_cut());
             let run = match self.checkpoint_for(site) {
                 Some(cp) => {
                     meta.ckpt_hit = true;
                     meta.skipped = cp.retired();
-                    sim.run_from_with(cp, &self.launch, scratch, &mut hook, resume)
+                    sim.run_from_with(cp, &self.run.launch, scratch, &mut hook, resume)
                 }
                 None => {
-                    scratch.clone_from(&self.initial);
-                    sim.run(&self.launch, scratch, &mut hook)
+                    scratch.clone_from(&self.run.initial);
+                    sim.run(&self.run.launch, scratch, &mut hook)
                 }
             };
             bailed = hook.bailed();
             if hook.hang_predicted() {
-                self.hangs_predicted.inc();
+                self.run.hangs_predicted.inc();
             }
             match run {
                 Ok(stats) => {
@@ -747,9 +797,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 Err(e) => Err(e),
             }
         } else {
-            scratch.clone_from(&self.initial);
+            scratch.clone_from(&self.run.initial);
             let mut hook = InjectionHook::with_model(site, model);
-            match sim.run(&self.launch, scratch, &mut hook) {
+            match sim.run(&self.run.launch, scratch, &mut hook) {
                 Ok(stats) => {
                     meta.executed = stats.instructions;
                     Ok(())
@@ -761,9 +811,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             Err(SimFault::BudgetExceeded) => Outcome::HANG,
             Err(SimFault::DetectedExit { .. }) => Outcome::Detected,
             Err(_) => Outcome::CRASH,
-            Ok(()) if scratch.region_eq(self.target.output_region().0, &self.golden) => {
-                Outcome::Masked
-            }
+            Ok(()) if scratch.region_eq(self.run.output.0, &self.run.golden) => Outcome::Masked,
             Ok(()) => Outcome::Sdc,
         };
         inject_metrics().record_run(meta, fast_used, bailed, outcome, start_ns);
@@ -788,18 +836,18 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let mut hook = BatchInjectionHook::new(
             batch_sites,
             model,
-            self.launch.num_threads(),
-            self.launch.threads_per_cta(),
-            self.target.output_region(),
+            self.run.launch.num_threads(),
+            self.run.launch.threads_per_cta(),
+            self.run.output,
         )
         .with_cut(self.cta_cut());
         let mut meta = BatchRunMeta::default();
         let cp = self.checkpoint_for(batch_sites[0]);
         let run = match cp {
-            Some(cp) => sim.run_from_with(cp, &self.launch, scratch, &mut hook, resume),
+            Some(cp) => sim.run_from_with(cp, &self.run.launch, scratch, &mut hook, resume),
             None => {
-                scratch.clone_from(&self.initial);
-                sim.run(&self.launch, scratch, &mut hook)
+                scratch.clone_from(&self.run.initial);
+                sim.run(&self.run.launch, scratch, &mut hook)
             }
         };
         match run {
@@ -907,7 +955,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         // Checkpoint-locality schedule: unresolved sites ordered by resume
         // position (ties broken by site index for determinism of the
         // *schedule*; outcomes are order-independent).
-        let batched = self.fast_path && self.golden_trace.is_some() && self.batch > 1;
+        let batched = self.fast_path && self.run.golden_trace.is_some() && self.batch > 1;
         let order: Vec<usize> = {
             let mut v: Vec<usize> = (0..sites.len())
                 .filter(|&i| outcomes[i].is_none())
@@ -978,7 +1026,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             std::thread::scope(|scope| {
                 for _ in 0..workers.max(1).min(order.len().max(1)) {
                     scope.spawn(|| {
-                        let mut scratch = self.initial.clone();
+                        let mut scratch = self.run.initial.clone();
                         let mut resume = ResumeScratch::default();
                         loop {
                             if cancelled.load(Ordering::Relaxed) || observer.should_cancel() {

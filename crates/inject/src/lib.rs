@@ -16,7 +16,9 @@
 //!   memory image and its output region;
 //! * [`Experiment`] — golden-run preparation, single injections with
 //!   outcome classification (masked / SDC / crash / hang), and parallel
-//!   campaigns over site lists.
+//!   campaigns over site lists;
+//! * [`ExperimentCache`] — a map of [`PreparedRun`]s shared by
+//!   every job of a long-lived process, so each kernel is prepared once.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 //! ```
 
 mod batch;
+mod cache;
 mod campaign;
 mod cut;
 mod fastpath;
@@ -44,8 +47,10 @@ mod target;
 pub mod testing;
 
 pub use batch::{batch_version, DEFAULT_BATCH, MAX_BATCH};
+pub use cache::{CacheHold, CacheKey, ExperimentCache, Prepared};
 pub use campaign::{
-    classifier_hash, CampaignObserver, CampaignResult, Experiment, IncrementalCampaign, NopObserver,
+    classifier_hash, CampaignObserver, CampaignResult, Experiment, IncrementalCampaign,
+    NopObserver, PreparedRun,
 };
 pub use fastpath::FastInjectionHook;
 pub use hook::InjectionHook;

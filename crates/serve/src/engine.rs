@@ -24,7 +24,9 @@ use fsp_core::{PruningConfig, PruningPipeline};
 use fsp_fleet::lease::{ChunkSpec, FleetConfig, LeaseTable, Submission};
 use fsp_fleet::wire::{OutcomeFrame, TraceFrame};
 use fsp_fleet::MAX_POLL_WAIT;
-use fsp_inject::{CampaignObserver, Experiment, InjectionTarget, SiteSpace, WeightedSite};
+use fsp_inject::{
+    CacheHold, CampaignObserver, Experiment, InjectionTarget, SiteSpace, WeightedSite,
+};
 use fsp_protect::{
     harden, harden_and_verify, plan_protection, remap_sites, HardenConfig, PlanInputs,
     ProtectScope, ProtectedTarget,
@@ -179,6 +181,9 @@ impl Shared {
 pub struct Engine {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Keeps the kernels this engine's jobs prepare (see [`execute`]) until
+    /// shutdown.
+    experiments: Mutex<Option<CacheHold<'static, Workload>>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -275,6 +280,7 @@ impl Engine {
         let engine = Engine {
             shared: Arc::clone(&shared),
             workers: Mutex::new(Vec::new()),
+            experiments: Mutex::new(Some(fsp_workloads::experiments().hold())),
         };
         let mut workers = engine.workers.lock().expect("engine poisoned");
         for i in 0..job_workers.max(1) {
@@ -309,7 +315,7 @@ impl Engine {
     ///
     /// Rejects unknown kernels (with the known ids in the message).
     pub fn submit_with(&self, spec: JobSpec, fleet: bool) -> Result<String, String> {
-        if fsp_workloads::by_id(&spec.kernel, Scale::Eval).is_none() {
+        if !fsp_workloads::is_registered(&spec.kernel) {
             return Err(format!(
                 "unknown kernel `{}` (try: {})",
                 spec.kernel,
@@ -657,6 +663,7 @@ impl Engine {
         for w in workers {
             let _ = w.join();
         }
+        drop(self.experiments.lock().expect("engine poisoned").take());
         let mut store = self.shared.store.lock().expect("engine poisoned");
         if let Err(e) = store.flush().and_then(|()| store.checkpoint()) {
             eprintln!("fsp-serve: checkpoint on shutdown failed: {e}");
@@ -982,11 +989,14 @@ fn run_job(shared: &Shared, id: &str) {
     shared.jobs_settled.notify_all();
 }
 
+/// Runs a served job. The kernel's prepared run comes from the
+/// process-wide [`fsp_workloads::experiments`] cache, which the engine
+/// holds until shutdown, so only its first job of a kernel (or a fleet
+/// worker loop sharing the process) pays for the golden run.
 fn execute(job: Job<'_>, spec: &JobSpec) -> Result<JobResult, RunEnd> {
-    let workload = fsp_workloads::by_id(&spec.kernel, Scale::Eval)
-        .ok_or_else(|| RunEnd::Failed(format!("unknown kernel `{}`", spec.kernel)))?;
-    let experiment = Experiment::prepare(&workload)
-        .map_err(|e| RunEnd::Failed(format!("golden run failed: {e}")))?;
+    let prepared = fsp_workloads::prepared(&spec.kernel).map_err(RunEnd::Failed)?;
+    let workload = prepared.target();
+    let experiment = prepared.experiment();
     let runner = Runner {
         spec,
         workers: job.shared.campaign_workers,
@@ -998,9 +1008,9 @@ fn execute(job: Job<'_>, spec: &JobSpec) -> Result<JobResult, RunEnd> {
         samples,
     } = spec.mode
     {
-        return runner.run_protect(&workload, &experiment, budget_millis, scope, samples);
+        return runner.run_protect(workload, &experiment, budget_millis, scope, samples);
     }
-    runner.run_planned(&workload, &experiment)
+    runner.run_planned(workload, &experiment)
 }
 
 /// The served job a campaign reports to: its injected outcomes go to the

@@ -35,9 +35,9 @@ mod fingerprint;
 pub mod polybench;
 pub mod rodinia;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use fsp_inject::InjectionTarget;
+use fsp_inject::{ExperimentCache, InjectionTarget, Prepared};
 use fsp_isa::KernelProgram;
 use fsp_sim::{Launch, MemBlock};
 
@@ -199,59 +199,86 @@ impl InjectionTarget for Workload {
     }
 }
 
+/// A kernel's constructor, at the requested scale.
+type Constructor = fn(Scale) -> Workload;
+
+/// The kernel registry: each registry id with its constructor, in the
+/// paper's Table I order (NN, which only appears in Table VII, comes last).
+/// [`all`], [`registry_ids`], [`by_id`] and [`is_registered`] all read it.
+const REGISTRY: [(&str, Constructor); 17] = [
+    ("hotspot", rodinia::hotspot::k1),
+    ("kmeans_k1", rodinia::kmeans::k1),
+    ("kmeans_k2", rodinia::kmeans::k2),
+    ("gaussian_k1", rodinia::gaussian::k1),
+    ("gaussian_k2", rodinia::gaussian::k2),
+    ("gaussian_k125", rodinia::gaussian::k125),
+    ("gaussian_k126", rodinia::gaussian::k126),
+    ("pathfinder", rodinia::pathfinder::k1),
+    ("lud_k44", rodinia::lud::k44),
+    ("lud_k45", rodinia::lud::k45),
+    ("lud_k46", rodinia::lud::k46),
+    ("2dconv", polybench::conv2d::k1),
+    ("mvt", polybench::mvt::k1),
+    ("2mm", polybench::mm2::k1),
+    ("gemm", polybench::gemm::k1),
+    ("syrk", polybench::syrk::k1),
+    ("nn", rodinia::nn::k1),
+];
+
 /// All 17 kernels in the paper's Table I order (NN, which only appears in
 /// Table VII, comes last).
 #[must_use]
 pub fn all(scale: Scale) -> Vec<Workload> {
-    vec![
-        rodinia::hotspot::k1(scale),
-        rodinia::kmeans::k1(scale),
-        rodinia::kmeans::k2(scale),
-        rodinia::gaussian::k1(scale),
-        rodinia::gaussian::k2(scale),
-        rodinia::gaussian::k125(scale),
-        rodinia::gaussian::k126(scale),
-        rodinia::pathfinder::k1(scale),
-        rodinia::lud::k44(scale),
-        rodinia::lud::k45(scale),
-        rodinia::lud::k46(scale),
-        polybench::conv2d::k1(scale),
-        polybench::mvt::k1(scale),
-        polybench::mm2::k1(scale),
-        polybench::gemm::k1(scale),
-        polybench::syrk::k1(scale),
-        rodinia::nn::k1(scale),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Looks a kernel up by its registry id (e.g. `"gemm"`, `"lud_k46"`).
+/// Looks a kernel up by its registry id (e.g. `"gemm"`, `"lud_k46"`),
+/// building only that kernel.
 #[must_use]
 pub fn by_id(id: &str, scale: Scale) -> Option<Workload> {
-    all(scale).into_iter().find(|w| w.registry_id() == id)
+    REGISTRY
+        .iter()
+        .find(|(have, _)| *have == id)
+        .map(|(_, build)| build(scale))
+}
+
+/// Whether `id` names a registry kernel. Builds nothing.
+#[must_use]
+pub fn is_registered(id: &str) -> bool {
+    REGISTRY.iter().any(|(have, _)| *have == id)
 }
 
 /// All registry ids, in Table I order.
 #[must_use]
 pub fn registry_ids() -> Vec<&'static str> {
-    vec![
-        "hotspot",
-        "kmeans_k1",
-        "kmeans_k2",
-        "gaussian_k1",
-        "gaussian_k2",
-        "gaussian_k125",
-        "gaussian_k126",
-        "pathfinder",
-        "lud_k44",
-        "lud_k45",
-        "lud_k46",
-        "2dconv",
-        "mvt",
-        "2mm",
-        "gemm",
-        "syrk",
-        "nn",
-    ]
+    REGISTRY.iter().map(|(id, _)| *id).collect()
+}
+
+/// The process-wide cache of prepared eval-scale kernels, shared by every
+/// served engine, fleet coordinator and fleet worker loop in the process.
+/// Each of them holds it ([`ExperimentCache::hold`]) while it runs, so the
+/// cache keeps at most one entry per registry kernel — 0.10–3.24 MB of heap
+/// each — and empties when the last of them stops. Its counters live on
+/// the global [`fsp_obs::registry`].
+#[must_use]
+pub fn experiments() -> &'static ExperimentCache<Workload> {
+    static CACHE: OnceLock<ExperimentCache<Workload>> = OnceLock::new();
+    CACHE.get_or_init(|| ExperimentCache::new(fsp_obs::registry()))
+}
+
+/// The eval-scale kernel `id` and its prepared run, from [`experiments`]:
+/// the golden run happens only on the first use of the kernel while the
+/// cache is held. The kernel is built to compute its content key,
+/// [`Workload::fingerprint`] × [`Workload::launch_hash`].
+///
+/// # Errors
+///
+/// Returns a message for an unknown id or a kernel whose fault-free run
+/// faults.
+pub fn prepared(id: &str) -> Result<Prepared<Workload>, String> {
+    let workload = by_id(id, Scale::Eval).ok_or_else(|| format!("unknown kernel `{id}`"))?;
+    let key = (workload.fingerprint(), workload.launch_hash());
+    experiments().get_or_prepare(key, || Ok(workload))
 }
 
 impl Workload {
