@@ -158,7 +158,14 @@ struct InjectMetrics {
     /// fast-path, batched). Recorded once per finished chunk so live
     /// estimators can watch the registry without touching the hot loop.
     outcome_total: [fsp_obs::Counter; 5],
+    /// Instructions retired by injected runs, faulted ones included, by
+    /// engine (see [`ENGINE_LABELS`]).
+    retired: [fsp_obs::Counter; 3],
 }
+
+/// Prometheus label values of the three injection engines: shared batched
+/// replays, solo fast-path runs, slow-path runs.
+const ENGINE_LABELS: [&str; 3] = ["batch", "solo", "slow"];
 
 fn inject_metrics() -> &'static InjectMetrics {
     static METRICS: OnceLock<InjectMetrics> = OnceLock::new();
@@ -202,6 +209,13 @@ fn inject_metrics() -> &'static InjectMetrics {
                     "fsp_inject_outcome_total",
                     &[("outcome", OUTCOME_LABELS[i])],
                     "Classified injection outcomes by class.",
+                )
+            }),
+            retired: std::array::from_fn(|i| {
+                r.counter_labeled(
+                    "fsp_inject_retired_instructions_total",
+                    &[("engine", ENGINE_LABELS[i])],
+                    "Instructions retired by injected runs, faulted runs included, by engine.",
                 )
             }),
         }
@@ -268,6 +282,7 @@ fn batch_metrics() -> &'static BatchMetrics {
 impl InjectMetrics {
     fn record_run(&self, meta: RunMeta, fast: bool, bailed: bool, outcome: Outcome, start_ns: u64) {
         self.run_nanos[outcome_index(outcome)].record(fsp_obs::now_ns().saturating_sub(start_ns));
+        self.retired[if fast { 1 } else { 2 }].add(meta.executed);
         if meta.ckpt_hit {
             self.runs_resumed.inc();
         } else {
@@ -290,8 +305,8 @@ impl InjectMetrics {
 struct RunMeta {
     /// Golden-prefix instructions skipped by resuming from a checkpoint.
     skipped: u64,
-    /// Instructions actually executed (suffix only when resumed; 0 for
-    /// faulted runs, whose partial work is discarded).
+    /// Instructions actually executed (suffix only when resumed), faulted
+    /// runs included.
     executed: u64,
     /// Whether the run resumed from a checkpoint.
     ckpt_hit: bool,
@@ -312,7 +327,7 @@ struct BatchRunMeta {
     /// Golden-prefix instructions skipped, summed over lanes.
     skipped: u64,
     /// Instructions actually executed: the shared replay once, plus any
-    /// solo fallback runs.
+    /// solo fallback runs, faulted ones included.
     executed: u64,
     /// Lanes resolved by early convergence.
     early: u64,
@@ -765,16 +780,16 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
                 None => {
                     scratch.clone_from(&self.run.initial);
-                    sim.run(&self.run.launch, scratch, &mut hook)
+                    sim.run_with(&self.run.launch, scratch, &mut hook, resume)
                 }
             };
+            meta.executed = resume.retired();
             bailed = hook.bailed();
             if hook.hang_predicted() {
                 self.run.hangs_predicted.inc();
             }
             match run {
-                Ok(stats) => {
-                    meta.executed = stats.instructions;
+                Ok(_) => {
                     if hook.converged() {
                         // The divergence set emptied: the machine state
                         // equals the golden state at this schedule point,
@@ -799,13 +814,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         } else {
             scratch.clone_from(&self.run.initial);
             let mut hook = InjectionHook::with_model(site, model);
-            match sim.run(&self.run.launch, scratch, &mut hook) {
-                Ok(stats) => {
-                    meta.executed = stats.instructions;
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
+            let run = sim.run_with(&self.run.launch, scratch, &mut hook, resume);
+            meta.executed = resume.retired();
+            run.map(|_| ())
         };
         let outcome = match result {
             Err(SimFault::BudgetExceeded) => Outcome::HANG,
@@ -847,14 +858,15 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             Some(cp) => sim.run_from_with(cp, &self.run.launch, scratch, &mut hook, resume),
             None => {
                 scratch.clone_from(&self.run.initial);
-                sim.run(&self.run.launch, scratch, &mut hook)
+                sim.run_with(&self.run.launch, scratch, &mut hook, resume)
             }
         };
-        match run {
-            Ok(stats) => meta.executed += stats.instructions,
+        meta.executed += resume.retired();
+        inject_metrics().retired[0].add(resume.retired());
+        if run.is_err() {
             // The shared replay is fault-free by construction; a fault here
             // means no lane outcome can be attributed — solo-rerun them all.
-            Err(_) => hook.demote_all(),
+            hook.demote_all();
         }
         let ends = hook.finish();
         let metrics = batch_metrics();
@@ -1136,7 +1148,9 @@ pub struct IncrementalCampaign {
     pub checkpoint_hits: u64,
     /// Golden-prefix instructions skipped via checkpoint resume.
     pub skipped_instructions: u64,
-    /// Instructions actually executed by completed injected runs.
+    /// Instructions actually executed by injected runs: every shared
+    /// batched replay, and every solo or slow-path run, including the
+    /// partial work of runs that crashed or hung.
     pub executed_instructions: u64,
     /// Injected runs classified `Masked` by early convergence.
     pub early_converged: u64,

@@ -374,36 +374,71 @@ impl ExecHook for FastInjectionHook<'_> {
         self.cut_at.is_some()
     }
 
+    #[inline]
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
-        let before = self.inner.triggered();
+        // Inline early-outs: a bailed run only passes write-backs through
+        // (the flip is behind it), and an unarmed one only waits for the
+        // flip; the tracking body stays out of line.
         let out = self.inner.writeback(wb);
         if self.bailed {
             return out;
         }
-        if !before && self.inner.triggered() {
-            // The flip. The pre-flip stream is golden by determinism, so
-            // the committed value diverges iff the model changed it.
-            self.armed = true;
-            self.set_cta(wb.tid / self.threads_per_cta);
-            if out.is_some_and(|v| v != wb.value) {
-                self.insert_reg(wb.tid, wb.reg);
+        if !self.armed {
+            if self.inner.triggered() {
+                self.arm(wb, out);
             }
             return out;
         }
-        if !self.armed || !self.tracked(wb.tid) {
-            return out;
+        if self.tracked(wb.tid) {
+            self.track_writeback(wb, out);
         }
+        out
+    }
+
+    #[inline]
+    fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        if self.bailed || !self.armed {
+            return;
+        }
+        self.track_retire(ev);
+    }
+
+    #[inline]
+    fn converged(&self) -> bool {
+        self.armed && !self.bailed && self.reg_div.is_empty() && self.mem_div.is_empty()
+    }
+}
+
+/// The tracking bodies behind the inline early-outs of
+/// [`FastInjectionHook`]'s [`ExecHook`] methods.
+impl FastInjectionHook<'_> {
+    /// The flip committed `out` (`None`: the model left the value as it
+    /// was) at `wb`: tracking goes live. The pre-flip stream is golden by
+    /// determinism, so the committed value diverges iff the model changed
+    /// it.
+    #[inline(never)]
+    fn arm(&mut self, wb: &Writeback, out: Option<u32>) {
+        self.armed = true;
+        self.set_cta(wb.tid / self.threads_per_cta);
+        if out.is_some_and(|v| v != wb.value) {
+            self.insert_reg(wb.tid, wb.reg);
+        }
+    }
+
+    /// A tracked thread's write-back after the flip, committing `out`.
+    #[inline(never)]
+    fn track_writeback(&mut self, wb: &Writeback, out: Option<u32>) {
         // Compare the committed value against the golden one at the same
         // (thread, retirement, slot) coordinate. The PC guard rejects
         // comparisons on a control-divergent stream before they could
         // spuriously shrink the set.
         let Some(t) = self.golden.thread(wb.tid) else {
             self.bailed = true;
-            return out;
+            return;
         };
         if t.pc(wb.dyn_idx) != Some(wb.pc as u32) {
             self.bailed = true;
-            return out;
+            return;
         }
         let committed = out.unwrap_or(wb.value);
         match t.value(t.wb_index(wb.dyn_idx) + u32::from(wb.slot)) {
@@ -411,13 +446,11 @@ impl ExecHook for FastInjectionHook<'_> {
             Some(_) => self.insert_reg(wb.tid, wb.reg),
             None => self.bailed = true,
         }
-        out
     }
 
-    fn on_retire(&mut self, ev: RetireEvent<'_>) {
-        if self.bailed || !self.armed {
-            return;
-        }
+    /// A retirement after the flip, while tracking is live.
+    #[inline(never)]
+    fn track_retire(&mut self, ev: RetireEvent<'_>) {
         // CTA turnover: CTAs run serially, so an event from a later CTA
         // means every earlier one finished and its divergence is dead.
         // Only needed while shared/global divergence exists (private
@@ -532,11 +565,6 @@ impl ExecHook for FastInjectionHook<'_> {
         if matches!(ev.instr.opcode, Opcode::Exit | Opcode::Ret | Opcode::Retp) {
             self.drop_thread(ev.tid);
         }
-    }
-
-    #[inline]
-    fn converged(&self) -> bool {
-        self.armed && !self.bailed && self.reg_div.is_empty() && self.mem_div.is_empty()
     }
 }
 

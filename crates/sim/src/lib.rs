@@ -53,6 +53,7 @@
 //! ```
 
 mod checkpoint;
+mod decode;
 mod exec;
 mod golden;
 mod hook;
@@ -64,7 +65,8 @@ mod trace;
 mod warp;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig};
-pub use exec::{apply_half_neg, eval_op, flags_of, operand_ty, pred_test, SimFault};
+pub use decode::operand_ty;
+pub use exec::{apply_half_neg, eval_op, flags_of, pred_test, SimFault};
 pub use golden::{
     BoundaryRecorder, GlobalReadProfile, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries,
     GoldenRecorder, GoldenStore, GoldenThread, GoldenTrace,

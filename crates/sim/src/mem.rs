@@ -100,6 +100,7 @@ impl MemBlock {
         }
     }
 
+    #[inline]
     fn index(&self, addr: u32) -> Result<usize, SimFault> {
         if !addr.is_multiple_of(4) {
             return Err(SimFault::Unaligned {
@@ -122,6 +123,7 @@ impl MemBlock {
     /// # Errors
     ///
     /// [`SimFault::Unaligned`] or [`SimFault::InvalidAccess`].
+    #[inline]
     pub fn load(&self, addr: u32) -> Result<u32, SimFault> {
         self.index(addr)
             .map(|i| self.chunks[i >> CHUNK_SHIFT][i & CHUNK_MASK])
@@ -134,6 +136,7 @@ impl MemBlock {
     /// # Errors
     ///
     /// [`SimFault::Unaligned`] or [`SimFault::InvalidAccess`].
+    #[inline]
     pub fn store(&mut self, addr: u32, value: u32) -> Result<u32, SimFault> {
         let i = self.index(addr)?;
         let word = &mut Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT])[i & CHUNK_MASK];

@@ -43,6 +43,7 @@ impl ThreadCoords {
 
     /// Value of a special register for this thread.
     #[must_use]
+    #[inline]
     pub fn special(&self, s: Special) -> u32 {
         match s {
             Special::TidX => self.tid.0,
@@ -115,6 +116,7 @@ impl ThreadState {
         }
     }
 
+    #[inline]
     pub fn local_mut(&mut self) -> &mut MemBlock {
         self.local.get_or_insert_with(|| {
             Box::new(MemBlock::with_space(LOCAL_WORDS, fsp_isa::MemSpace::Local))

@@ -20,8 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use fsp_isa::Opcode;
-
+use crate::decode::Class;
 use crate::exec::{step, ExecCtx, SimFault};
 use crate::hook::ExecHook;
 use crate::thread::{ThreadState, ThreadStatus};
@@ -113,11 +112,11 @@ impl WarpStack {
                 "lockstep invariant: every active lane sits at the entry pc"
             );
             // Divergent barriers are UB on hardware; refuse deterministically.
-            if ctx.program.get(pc).is_some_and(|i| i.opcode == Opcode::Bar) && self.stack.len() > 1
-            {
+            if ctx.ops.get(pc).is_some_and(|op| op.class == Class::Bar) && self.stack.len() > 1 {
                 return Err(SimFault::BarrierDivergence { pc: pc as u32 });
             }
             for &t in &active {
+                ctx.tid = threads[t].coords.flat_tid();
                 step(&mut threads[t], ctx, hook, budget)?;
             }
             // Regroup by where the lanes went.
