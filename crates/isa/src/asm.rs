@@ -59,19 +59,14 @@ impl Error for AsmError {}
 /// mnemonic/register, duplicate label, or dangling branch target.
 pub fn assemble(name: impl Into<String>, source: &str) -> Result<KernelProgram, AsmError> {
     let mut labels: BTreeMap<String, usize> = BTreeMap::new();
-    let mut pending: Vec<(usize, String, usize)> = Vec::new(); // (pc, label, line)
+    let mut pending: Vec<(usize, &str, usize)> = Vec::new(); // (pc, label, line)
     let mut instructions = Vec::new();
+    // Operand buffer, reused across lines.
+    let mut operands: Vec<&str> = Vec::new();
 
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let mut line = raw_line;
-        if let Some(pos) = line.find("//") {
-            line = &line[..pos];
-        }
-        if let Some(pos) = line.find('#') {
-            line = &line[..pos];
-        }
-        let mut rest = line.trim();
+        let mut rest = strip_comment(raw_line).trim();
         // Leading labels (possibly several, possibly alone on the line).
         while let Some(colon) = rest.find(':') {
             let (cand, after) = rest.split_at(colon);
@@ -87,12 +82,18 @@ pub fn assemble(name: impl Into<String>, source: &str) -> Result<KernelProgram, 
         if rest.is_empty() {
             continue;
         }
-        let instr = parse_instruction(rest, line_no, instructions.len(), &mut pending)?;
+        let instr = parse_instruction(
+            rest,
+            line_no,
+            instructions.len(),
+            &mut pending,
+            &mut operands,
+        )?;
         instructions.push(instr);
     }
 
     for (pc, label, line_no) in pending {
-        let Some(&target) = labels.get(&label) else {
+        let Some(&target) = labels.get(label) else {
             return Err(err(line_no, format!("undefined label `{label}`")));
         };
         if target >= instructions.len() {
@@ -114,6 +115,14 @@ fn err(line: usize, message: impl Into<String>) -> AsmError {
     }
 }
 
+/// `line` up to its first comment (`//` or `#`).
+fn strip_comment(line: &str) -> &str {
+    let b = line.as_bytes();
+    (0..b.len())
+        .find(|&i| b[i] == b'#' || (b[i] == b'/' && b.get(i + 1) == Some(&b'/')))
+        .map_or(line, |i| &line[..i])
+}
+
 fn is_label(s: &str) -> bool {
     !s.is_empty()
         && s.chars()
@@ -122,11 +131,12 @@ fn is_label(s: &str) -> bool {
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-fn parse_instruction(
-    text: &str,
+fn parse_instruction<'s>(
+    text: &'s str,
     line: usize,
     pc: usize,
-    pending: &mut Vec<(usize, String, usize)>,
+    pending: &mut Vec<(usize, &'s str, usize)>,
+    operands: &mut Vec<&'s str>,
 ) -> Result<Instruction, AsmError> {
     let mut rest = text;
     let mut guard = None;
@@ -146,8 +156,8 @@ fn parse_instruction(
     let mut instr = parse_mnemonic(head, line)?;
     instr.guard = guard;
 
-    let operands = split_operands(tail);
-    apply_operands(&mut instr, &operands, line, pc, pending)?;
+    split_operands(tail, operands);
+    apply_operands(&mut instr, operands, line, pc, pending)?;
     Ok(instr)
 }
 
@@ -198,21 +208,24 @@ fn parse_mnemonic(head: &str, line: usize) -> Result<Instruction, AsmError> {
             }
         }
     }
+    // Only what the disassembly spells is accepted, so every program
+    // re-assembles from its own disassembly: no type on control
+    // instructions, a second (source) type only on `cvt` and `set`.
     match types.len() {
         0 => {}
-        1 => {
-            instr.ty = types[0];
-            instr.src_ty = types[0];
-        }
-        2 => {
-            instr.ty = types[0];
-            instr.src_ty = types[1];
-        }
-        n => {
+        n if n > opcode.type_suffixes() => {
             return Err(err(
                 line,
                 format!("too many type suffixes ({n}) on `{base}`"),
             ))
+        }
+        1 => {
+            instr.ty = types[0];
+            instr.src_ty = types[0];
+        }
+        _ => {
+            instr.ty = types[0];
+            instr.src_ty = types[1];
         }
     }
     if opcode == Opcode::Set && instr.cmp.is_none() {
@@ -224,31 +237,26 @@ fn parse_mnemonic(head: &str, line: usize) -> Result<Instruction, AsmError> {
     Ok(instr)
 }
 
-/// Splits the operand tail on top-level commas (commas inside `[...]` don't
-/// occur in this ISA, so a plain split suffices).
-fn split_operands(tail: &str) -> Vec<&str> {
-    if tail.is_empty() {
-        return Vec::new();
-    }
-    tail.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
+/// Splits the operand tail on top-level commas into `out` (commas inside
+/// `[...]` don't occur in this ISA, so a plain split suffices).
+fn split_operands<'s>(tail: &'s str, out: &mut Vec<&'s str>) {
+    out.clear();
+    out.extend(tail.split(',').map(str::trim).filter(|s| !s.is_empty()));
 }
 
-fn apply_operands(
+fn apply_operands<'s>(
     instr: &mut Instruction,
-    operands: &[&str],
+    operands: &[&'s str],
     line: usize,
     pc: usize,
-    pending: &mut Vec<(usize, String, usize)>,
+    pending: &mut Vec<(usize, &'s str, usize)>,
 ) -> Result<(), AsmError> {
     match instr.opcode {
         Opcode::Bra => {
             let [target] = operands else {
                 return Err(err(line, "`bra` takes exactly one target"));
             };
-            pending.push((pc, (*target).to_owned(), line));
+            pending.push((pc, target, line));
             Ok(())
         }
         Opcode::Ssy => {
@@ -259,7 +267,7 @@ fn apply_operands(
             // addresses.
             if let Some(target) = operands.first() {
                 if is_label(target) && !target.starts_with("0x") {
-                    pending.push((pc, (*target).to_owned(), line));
+                    pending.push((pc, target, line));
                 }
             }
             Ok(())
@@ -282,14 +290,32 @@ fn apply_operands(
                 return Err(err(line, "missing destination operand"));
             };
             parse_dests(instr, dst, line)?;
-            if srcs.len() > instr.src.len() {
+            let want = instr.opcode.source_count();
+            if srcs.len() > want {
                 return Err(err(
                     line,
                     format!("too many source operands ({})", srcs.len()),
                 ));
             }
+            if srcs.len() < want {
+                return Err(err(
+                    line,
+                    format!("`{}` takes {want} source operands", instr.opcode),
+                ));
+            }
             for (slot, text) in instr.src.iter_mut().zip(srcs) {
                 *slot = Some(parse_operand(text, line)?);
+            }
+            if instr.opcode == Opcode::Selp
+                && !matches!(
+                    instr.src[2],
+                    Some(Operand::Reg {
+                        reg: Register::Pred(_),
+                        ..
+                    })
+                )
+            {
+                return Err(err(line, "`selp` steers on a predicate register"));
             }
             Ok(())
         }
@@ -298,11 +324,11 @@ fn apply_operands(
 
 fn parse_dests(instr: &mut Instruction, text: &str, line: usize) -> Result<(), AsmError> {
     // Dual destinations: `$p0|$o127` or `$p0/$r1`.
-    let parts: Vec<&str> = text.split(['|', '/']).map(str::trim).collect();
-    if parts.len() > 2 {
+    let parts = || text.split(['|', '/']).map(str::trim);
+    if parts().count() > 2 {
         return Err(err(line, format!("too many destinations in `{text}`")));
     }
-    for (i, part) in parts.iter().enumerate() {
+    for (i, part) in parts().enumerate() {
         if part.contains('[') {
             instr.dst[i] = Some(Dest::Mem(parse_memref(part, line, MemSpace::Global)?));
         } else {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::operand::{MemRef, Operand};
+use crate::operand::{MemRef, MemSpace, Operand};
 use crate::reg::Register;
 use crate::ty::ScalarType;
 
@@ -146,6 +146,49 @@ impl Opcode {
     #[must_use]
     pub fn from_mnemonic(s: &str) -> Option<Self> {
         Self::NAMES.iter().find(|(_, n)| *n == s).map(|(op, _)| *op)
+    }
+
+    /// Number of source operands the opcode consumes: what a
+    /// value-producing opcode evaluates over (3 for `mad` and `selp`), 1
+    /// for `st`, 0 for control and no-op instructions.
+    #[must_use]
+    pub const fn source_count(self) -> usize {
+        match self {
+            Opcode::Bra
+            | Opcode::Ssy
+            | Opcode::Bar
+            | Opcode::Ret
+            | Opcode::Retp
+            | Opcode::Exit
+            | Opcode::Trap
+            | Opcode::Nop => 0,
+            Opcode::Mov
+            | Opcode::Ld
+            | Opcode::St
+            | Opcode::Cvt
+            | Opcode::Abs
+            | Opcode::Neg
+            | Opcode::Rcp
+            | Opcode::Sqrt
+            | Opcode::Rsqrt
+            | Opcode::Ex2
+            | Opcode::Lg2
+            | Opcode::Not => 1,
+            Opcode::Mad | Opcode::Selp => 3,
+            _ => 2,
+        }
+    }
+
+    /// How many type suffixes the opcode's assembler spelling carries:
+    /// two for `cvt` and `set` (`cvt.u32.u16`), none for control and no-op
+    /// instructions, one otherwise.
+    #[must_use]
+    pub const fn type_suffixes(self) -> usize {
+        match self {
+            Opcode::Cvt | Opcode::Set => 2,
+            _ if self.source_count() == 0 => 0,
+            _ => 1,
+        }
     }
 
     /// Whether the opcode is a control-flow instruction.
@@ -430,17 +473,10 @@ impl fmt::Display for Instruction {
         if self.hi {
             write!(f, ".hi")?;
         }
-        match self.opcode {
-            Opcode::Bra
-            | Opcode::Ssy
-            | Opcode::Bar
-            | Opcode::Ret
-            | Opcode::Retp
-            | Opcode::Exit
-            | Opcode::Trap
-            | Opcode::Nop => {}
-            Opcode::Ld | Opcode::St => write!(f, ".global.{}", self.ty)?,
-            Opcode::Cvt | Opcode::Set => write!(f, ".{}.{}", self.ty, self.src_ty)?,
+        match (self.opcode, self.opcode.type_suffixes()) {
+            (_, 0) => {}
+            (Opcode::Ld | Opcode::St, _) => write!(f, ".global.{}", self.ty)?,
+            (_, 2) => write!(f, ".{}.{}", self.ty, self.src_ty)?,
             _ => write!(f, ".{}", self.ty)?,
         }
         let mut sep = " ";
@@ -454,9 +490,16 @@ impl fmt::Display for Instruction {
         }
         for s in self.sources() {
             if matches!(self.opcode, Opcode::Ld) || matches!(self.opcode, Opcode::St) {
-                if let Operand::Mem(m) = s {
-                    // ld/st spell their memory operand in brackets without
-                    // the space prefix.
+                if let Operand::Mem(
+                    m @ MemRef {
+                        space: MemSpace::Global,
+                        ..
+                    },
+                ) = s
+                {
+                    // ld/st spell a global memory operand in brackets
+                    // without the space prefix (bare brackets assemble
+                    // as global).
                     if let Some(base) = m.base {
                         if m.offset == 0 {
                             write!(f, "{sep}[{base}]")?;
@@ -483,7 +526,6 @@ impl fmt::Display for Instruction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operand::{MemRef, MemSpace};
 
     #[test]
     fn mnemonic_roundtrip() {
