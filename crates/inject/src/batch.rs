@@ -39,11 +39,13 @@
 //! * **Converged** — the lane's set empties after its flip: machine state
 //!   equals golden state, determinism forces the golden outcome → `Masked`.
 //! * **Untriggered** — the site's destination bit was never written (stale
-//!   site): the run is the golden run → `Masked`.
-//! * **End of stream** — at the end of the lane's CTA, or of a later one,
-//!   the CTA-boundary cut (`crate::cut`) proves that the rest of the run
-//!   replays the golden run: the lane's global overlay is exactly the set
-//!   of corrupted words the rule needs, so the lane is settled there as
+//!   site), or its thread exited before the flip: the run is the golden
+//!   run → `Masked`.
+//! * **End of stream** — at the exit of the lane's thread (its CTA
+//!   releasing no barrier), or at the end of the lane's CTA or a later
+//!   one, the replay cut (`crate::cut`) proves that the rest of the run
+//!   replays the golden run: the lane's overlay is exactly the set of
+//!   corrupted words the rule needs, so the lane is settled there as
 //!   `Sdc` or `Masked` without materializing its memory. A lane the rule
 //!   refuses keeps tracking until a later boundary or the end of the
 //!   replay, where the overlay decides the same way.
@@ -68,7 +70,7 @@ use fsp_sim::{
 };
 use fsp_stats::Outcome;
 
-use crate::cut::CtaCut;
+use crate::cut::{At, CtaCut, Cut, Word};
 use crate::fastpath::{reg_key, space_code};
 use crate::model::FaultModel;
 use crate::site::FaultSite;
@@ -196,10 +198,12 @@ pub(crate) struct BatchInjectionHook<'a> {
     /// divergence: a memory access screens against all lanes with one
     /// binary search.
     sg: Vec<(u32, u64)>,
-    /// CTA of the last retirement seen; a later CTA retires all earlier
-    /// CTAs' private and shared divergence (CTAs run serially).
-    current_cta: Option<u32>,
-    /// The CTA-boundary cut rule, when enabled.
+    /// Flat-tid bounds `[cta_lo, cta_hi)` of the CTA of the last
+    /// retirement seen (empty before the first); a later CTA retires all
+    /// earlier CTAs' private and shared divergence (CTAs run serially).
+    cta_lo: u32,
+    cta_hi: u32,
+    /// The replay cut rule, when enabled.
     cut: Option<CtaCut<'a>>,
 }
 
@@ -250,12 +254,13 @@ impl<'a> BatchInjectionHook<'a> {
             tid_private: vec![0; num_threads as usize],
             trigger_pending,
             sg: Vec::new(),
-            current_cta: None,
+            cta_lo: 0,
+            cta_hi: 0,
             cut: None,
         }
     }
 
-    /// Enables the CTA-boundary cut under `rule`.
+    /// Enables the replay cut under `rule`.
     pub(crate) fn with_cut(mut self, rule: CtaCut<'a>) -> Self {
         self.cut = Some(rule);
         self
@@ -468,6 +473,18 @@ impl<'a> BatchInjectionHook<'a> {
         self.clear_lane(li);
     }
 
+    /// Resolves lane `li`, stopped by the replay cut as `cut`.
+    fn settle(&mut self, li: usize, cut: Cut) {
+        let cause = if cut.restored {
+            RetireCause::Converged
+        } else if cut.outcome == Outcome::Sdc {
+            RetireCause::EndSdc
+        } else {
+            RetireCause::EndMasked
+        };
+        self.resolve(li, cut.outcome, cause);
+    }
+
     fn demote(&mut self, li: usize, cause: DemoteCause) {
         self.lanes[li].state = LaneState::Demoted(cause);
         self.clear_lane(li);
@@ -488,8 +505,9 @@ impl<'a> BatchInjectionHook<'a> {
     /// CTA finished — its threads' private divergence is unreachable and
     /// its shared memory is reset before the next CTA starts.
     fn cta_turnover(&mut self, new_cta: u32) {
-        self.current_cta = Some(new_cta);
         let tid_lo = new_cta * self.threads_per_cta;
+        self.cta_lo = tid_lo;
+        self.cta_hi = tid_lo + self.threads_per_cta;
         let mut m = self.active;
         while m != 0 {
             let li = m.trailing_zeros() as usize;
@@ -497,29 +515,61 @@ impl<'a> BatchInjectionHook<'a> {
             if self.lanes[li].state != LaneState::Tracking {
                 continue;
             }
-            let stale_regs: Vec<(u32, u16)> = self.lanes[li]
-                .regs
-                .iter()
-                .filter(|e| e.0 < tid_lo)
-                .map(|e| (e.0, e.1))
-                .collect();
-            for (tid, key) in stale_regs {
-                self.remove_reg(li, tid, key);
-            }
-            let stale_mem: Vec<(u8, u32, u32)> = self.lanes[li]
-                .mem
-                .iter()
-                .filter(|e| match e.0 {
-                    LOCAL => e.1 < tid_lo,
-                    SHARED => e.1 < new_cta,
-                    _ => false,
-                })
-                .map(|e| (e.0, e.1, e.2))
-                .collect();
-            for (space, owner, addr) in stale_mem {
-                self.remove_mem(li, space, owner, addr);
+            let bit = 1u64 << li;
+            let Self {
+                lanes, tid_private, ..
+            } = self;
+            let lane = &mut lanes[li];
+            let mut unmask = |tid: u32| {
+                if let Some(m) = tid_private.get_mut(tid as usize) {
+                    *m &= !bit;
+                }
+            };
+            // Every private entry of an earlier thread goes, so its mask
+            // bit goes with it.
+            lane.regs.retain(|e| {
+                let keep = e.0 >= tid_lo;
+                if !keep {
+                    unmask(e.0);
+                }
+                keep
+            });
+            let mut shared_dropped = false;
+            lane.mem.retain(|e| {
+                let keep = match e.0 {
+                    LOCAL => e.1 >= tid_lo,
+                    SHARED => e.1 >= new_cta,
+                    _ => true,
+                };
+                if !keep {
+                    if e.0 == LOCAL {
+                        unmask(e.1);
+                    } else {
+                        shared_dropped = true;
+                    }
+                }
+                keep
+            });
+            if shared_dropped {
+                self.rescreen(li);
             }
             self.check_converged(li);
+        }
+    }
+
+    /// Rebuilds lane `li`'s bits in the shared/global prefilter from its
+    /// overlay.
+    fn rescreen(&mut self, li: usize) {
+        let bit = 1u64 << li;
+        for e in &mut self.sg {
+            e.1 &= !bit;
+        }
+        self.sg.retain(|e| e.1 != 0);
+        for i in 0..self.lanes[li].mem.len() {
+            let e = self.lanes[li].mem[i];
+            if e.0 != LOCAL {
+                self.sg_add(e.2, bit);
+            }
         }
     }
 
@@ -821,17 +871,31 @@ fn has_eval_result(op: Opcode) -> bool {
     )
 }
 
-impl ExecHook for BatchInjectionHook<'_> {
-    fn on_retire(&mut self, ev: RetireEvent<'_>) {
-        if self.active == 0 {
-            return;
-        }
+impl BatchInjectionHook<'_> {
+    /// Whether retirement `ev` leaves every lane as it is: no flip is
+    /// pending on its thread, no lane holds private divergence there, none
+    /// of its accesses touches a divergent shared/global word, and it does
+    /// not start a new CTA.
+    #[inline]
+    fn quiet(&self, ev: &RetireEvent<'_>) -> bool {
+        let t = ev.tid as usize;
+        ev.tid < self.cta_hi
+            && self.trigger_pending.get(t).is_none_or(|&m| m == 0)
+            && self.tid_private.get(t).is_none_or(|&m| m == 0)
+            && (self.sg.is_empty()
+                || ev.accesses.iter().all(|a| {
+                    a.space == MemSpace::Local
+                        || self.sg.binary_search_by_key(&a.addr, |e| e.0).is_err()
+                }))
+    }
+
+    /// [`ExecHook::on_retire`] past the [`BatchInjectionHook::quiet`]
+    /// screen.
+    #[inline(never)]
+    fn retire(&mut self, ev: RetireEvent<'_>) {
         let tid = ev.tid;
-        let cta = tid / self.threads_per_cta;
-        match self.current_cta {
-            Some(c) if cta > c => self.cta_turnover(cta),
-            None => self.current_cta = Some(cta),
-            _ => {}
+        if tid >= self.cta_hi {
+            self.cta_turnover(tid / self.threads_per_cta);
         }
         let t = tid as usize;
         let has_result = has_eval_result(ev.instr.opcode);
@@ -889,24 +953,10 @@ impl ExecHook for BatchInjectionHook<'_> {
                     continue;
                 }
                 dropped |= 1u64 << li;
-                let stale_regs: Vec<u16> = self.lanes[li]
-                    .regs
-                    .iter()
-                    .filter(|e| e.0 == tid)
-                    .map(|e| e.1)
-                    .collect();
-                for key in stale_regs {
-                    self.remove_reg(li, tid, key);
-                }
-                let stale_local: Vec<u32> = self.lanes[li]
-                    .mem
-                    .iter()
-                    .filter(|e| e.0 == LOCAL && e.1 == tid)
-                    .map(|e| e.2)
-                    .collect();
-                for addr in stale_local {
-                    self.remove_mem(li, LOCAL, tid, addr);
-                }
+                let lane = &mut self.lanes[li];
+                lane.regs.retain(|e| e.0 != tid);
+                lane.mem.retain(|e| e.0 != LOCAL || e.1 != tid);
+                self.tid_private[t] &= !(1u64 << li);
             }
         }
         // 4. Convergence sweep over everything this event touched.
@@ -915,6 +965,15 @@ impl ExecHook for BatchInjectionHook<'_> {
             let li = m.trailing_zeros() as usize;
             m &= m - 1;
             self.check_converged(li);
+        }
+    }
+}
+
+impl ExecHook for BatchInjectionHook<'_> {
+    #[inline]
+    fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        if self.active != 0 && !self.quiet(&ev) {
+            self.retire(ev);
         }
     }
 
@@ -968,16 +1027,58 @@ impl ExecHook for BatchInjectionHook<'_> {
                         .mem
                         .iter()
                         .filter(|e| e.0 == GLOBAL)
-                        .map(|e| e.2);
-                    if let Some(cut) = rule.judge(cta, budget, d) {
-                        let cause = if cut.restored {
-                            RetireCause::Converged
-                        } else if cut.outcome == Outcome::Sdc {
-                            RetireCause::EndSdc
-                        } else {
-                            RetireCause::EndMasked
-                        };
-                        self.resolve(li, cut.outcome, cause);
+                        .map(|e| Word::global(e.2));
+                    if let Some(cut) = rule.judge(At::CtaEnd, cta, rule.end(cta), budget, d) {
+                        self.settle(li, cut);
+                    }
+                }
+                LaneState::Done(..) | LaneState::Demoted(_) => {}
+            }
+        }
+        self.active == 0
+    }
+
+    /// Settles the lanes whose site is on the exiting thread `tid`: a
+    /// pending one never flips, and a tracking one is judged by the
+    /// thread-exit rule, its overlay being D. The replay is golden and a
+    /// lane that would steer into a `bar` is demoted at the guard, so no
+    /// tracking lane has released a barrier where the rule applies. The
+    /// shared replay stops once no lane is left.
+    fn on_thread_exit(
+        &mut self,
+        tid: u32,
+        _released: bool,
+        _global: &MemBlock,
+        budget: u64,
+    ) -> bool {
+        let exit = self
+            .cut
+            .and_then(|rule| Some((rule, rule.thread_exit(tid)?)));
+        let mut m = self.active;
+        while m != 0 {
+            let li = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.lanes[li].site.tid != tid {
+                continue;
+            }
+            match self.lanes[li].state {
+                LaneState::Pending => {
+                    self.resolve(li, Outcome::Masked, RetireCause::Untriggered);
+                }
+                LaneState::Tracking => {
+                    let Some((rule, (cta, pos))) = exit else {
+                        continue;
+                    };
+                    let d = self.lanes[li]
+                        .mem
+                        .iter()
+                        .filter(|e| e.0 != LOCAL)
+                        .map(|e| Word {
+                            shared: e.0 == SHARED,
+                            addr: e.2,
+                        });
+                    if let Some(cut) = rule.judge(At::ThreadExit, cta, pos, budget, d) {
+                        self.settle(li, cut);
                     }
                 }
                 LaneState::Done(..) | LaneState::Demoted(_) => {}

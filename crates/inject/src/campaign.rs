@@ -8,9 +8,10 @@
 //! ([`crate::FastInjectionHook`]) compares every post-flip commit against
 //! the recorded golden value trace and stops the suffix early once the
 //! fault's divergence set provably empties (the run is `Masked` by
-//! construction). Whether or not it does, a run stops at the first CTA
-//! boundary from which the rest of the run provably replays the golden run
-//! (`crate::cut`), classified from its corrupted global words alone.
+//! construction). Whether or not it does, a run stops at the faulty
+//! thread's exit or the first CTA boundary from which the rest of the run
+//! provably replays the golden run (`crate::cut`), classified from its
+//! corrupted words alone.
 //! The slow path — a full re-execution per site — is kept behind
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
 //! two paths are byte-identical in outcomes and SDC severities.
@@ -311,9 +312,9 @@ struct RunMeta {
     /// Whether the run resumed from a checkpoint.
     ckpt_hit: bool,
     /// Whether the run was cut short by early convergence, or was cut at a
-    /// CTA boundary after which it would have converged.
+    /// point after which it would have converged.
     early: bool,
-    /// The CTA after which the run was cut (see `crate::cut`).
+    /// The golden position the run was cut at (see `crate::cut`).
     cut: Option<u32>,
 }
 
@@ -368,10 +369,10 @@ pub struct PreparedRun {
     /// tracker's cannot-converge proof (empty when `golden_trace` is
     /// `None`).
     global_writers: GlobalWriteProfile,
-    /// The golden run at each CTA boundary, for the CTA-boundary cut
-    /// (empty when `golden_trace` is `None`).
+    /// The golden run at each CTA boundary and thread exit, for the replay
+    /// cut (empty when `golden_trace` is `None`).
     boundaries: GoldenBoundaries,
-    /// `fsp_inject_cta_cut_total` and `fsp_inject_cta_cut_refused_total`
+    /// `fsp_inject_cta_cut_total{at}` and `fsp_inject_cta_cut_refused_total`
     /// for this kernel.
     cut_metrics: CutMetrics,
     /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
@@ -452,7 +453,7 @@ impl PreparedRun {
         let mut golden_rec = trace_all.then(|| {
             (
                 GoldenRecorder::new(num_threads),
-                BoundaryRecorder::new(initial.len_bytes() / 4),
+                BoundaryRecorder::new(&launch, initial.len_bytes() / 4),
             )
         });
         let (stats, checkpoints) = {
@@ -477,7 +478,11 @@ impl PreparedRun {
         let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
         let (golden_trace, boundaries) = match golden_rec {
-            Some((values, cta_ends)) => (Some(values.finish()), cta_ends.finish()),
+            Some((values, cta_ends)) => {
+                let values = values.finish();
+                let boundaries = cta_ends.finish(&values);
+                (Some(values), boundaries)
+            }
             None => (None, GoldenBoundaries::default()),
         };
         let hangs_predicted = fsp_obs::registry().counter_labeled(
@@ -558,9 +563,10 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     }
 
     /// Fast-path injected runs of this kernel, process-wide, stopped at a
-    /// CTA boundary because the rest of the run provably replays the golden
-    /// run (the `fsp_inject_cta_cut_total` series, summed over outcomes).
-    /// Batched lanes settled at a boundary count as cut runs too.
+    /// CTA boundary or at the faulty thread's exit because the rest of the
+    /// run provably replays the golden run (the `fsp_inject_cta_cut_total`
+    /// series, summed over cut points and outcomes). Batched lanes settled
+    /// there count as cut runs too.
     #[must_use]
     pub fn cta_cuts(&self) -> u64 {
         self.run.cut_metrics.cuts()
@@ -574,14 +580,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         self.run.cut_metrics.refusals()
     }
 
-    /// The CTA-boundary cut rule over this experiment's golden run.
+    /// The replay cut rule over this experiment's golden run.
     fn cta_cut(&self) -> CtaCut<'_> {
-        CtaCut::new(
-            &self.run.boundaries,
-            &self.run.global_writers,
-            self.run.output,
-            &self.run.cut_metrics,
-        )
+        CtaCut::new(&self.run.boundaries, self.run.output, &self.run.cut_metrics)
     }
 
     /// The golden output words.
@@ -734,7 +735,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             return (outcome, None);
         }
         let out = match meta.cut {
-            Some(cta) => self.cta_cut().output(cta, &scratch, &self.run.golden),
+            Some(pos) => self.cta_cut().output(pos, &scratch, &self.run.golden),
             None => {
                 let (addr, len) = self.run.output;
                 scratch.read_words(addr, len)
@@ -798,11 +799,11 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                         inject_metrics().record_run(meta, true, false, Outcome::Masked, start_ns);
                         return (Outcome::Masked, meta);
                     }
-                    if let Some((cta, cut)) = hook.cut() {
+                    if let Some(cut) = hook.cut() {
                         // The rest of the run replays the golden run. Had
                         // it gone on, an unbailed tracker would have seen
                         // every corrupted word restored and converged.
-                        meta.cut = Some(cta);
+                        meta.cut = Some(cut.pos);
                         meta.early = cut.restored && hook.triggered() && !bailed;
                         inject_metrics().record_run(meta, true, bailed, cut.outcome, start_ns);
                         return (cut.outcome, meta);

@@ -36,11 +36,12 @@
 //! so the campaign stops the run and records `Masked` immediately
 //! ([`ExecHook::converged`]).
 //!
-//! Bailed or not, the hook also applies the CTA-boundary cut
-//! (`crate::cut`) at the end of the faulty CTA and of every later one:
-//! once no later CTA reads a global word the run corrupted, the rest of
-//! the run replays the golden run, and the outcome follows from the
-//! corrupted words alone ([`ExecHook::on_cta_end`]).
+//! Bailed or not, the hook also applies the replay cut (`crate::cut`) at
+//! the faulty thread's exit, when its CTA releases no barrier, and at the
+//! end of the faulty CTA and of every later one: once nothing after that
+//! point reads a word the run corrupted, the rest of the run replays the
+//! golden run, and the outcome follows from the corrupted words alone
+//! ([`ExecHook::on_thread_exit`], [`ExecHook::on_cta_end`]).
 
 use std::collections::HashSet;
 
@@ -49,7 +50,7 @@ use fsp_sim::{
     ExecHook, GlobalWriteProfile, GoldenTrace, MemAccess, MemBlock, RetireEvent, Writeback,
 };
 
-use crate::cut::{CtaCut, Cut};
+use crate::cut::{CtaCut, Cut, Word};
 use crate::hook::InjectionHook;
 use crate::model::FaultModel;
 use crate::site::FaultSite;
@@ -66,6 +67,12 @@ const TRACK_WINDOW: u32 = 4096;
 /// being effectively free, and divergence that wide almost never converges
 /// — bail.
 const SG_SCAN_CAP: usize = 16;
+
+/// Distinct global/shared words the faulty thread may store after the
+/// flip and still be judged at its exit. Past this many the thread-exit
+/// rule refuses (the CTA-end rule still applies): a thread that scatters
+/// this widely almost always corrupts a word a later thread reads.
+const EXIT_STORE_CAP: usize = 32;
 
 /// Compact key for a register: thread-private, so keyed per tid elsewhere.
 /// `None` for registers that cannot carry state (`$r124`, `$o127`,
@@ -141,12 +148,21 @@ pub struct FastInjectionHook<'a> {
     shared_global: u32,
     /// The simulator cut the run short on a hang certificate.
     hang_predicted: bool,
-    /// The CTA-boundary cut rule, when enabled.
+    /// The replay cut rule, when enabled.
     cut: Option<CtaCut<'a>>,
-    /// CTA of the site's thread: the cut applies from its end on.
+    /// The site: the thread-exit rule judges its thread's exit.
+    site: FaultSite,
+    /// CTA of the site's thread: the CTA-end rule applies from its end on.
     site_cta: u32,
-    /// The CTA after which the run was cut, and how it ends.
-    cut_at: Option<(u32, Cut)>,
+    /// The site's thread while the thread-exit rule can fire for it (its
+    /// CTA releases no barrier in the golden run and it has not outgrown
+    /// [`EXIT_STORE_CAP`]), else `u32::MAX`: the store log below costs
+    /// nothing where the rule cannot fire.
+    exit_tid: u32,
+    /// Global and shared words `exit_tid` stored since the flip.
+    written: Vec<Word>,
+    /// How the run was cut.
+    cut_at: Option<Cut>,
 }
 
 impl<'a> FastInjectionHook<'a> {
@@ -181,19 +197,25 @@ impl<'a> FastInjectionHook<'a> {
             shared_global: 0,
             hang_predicted: false,
             cut: None,
+            site,
             site_cta: site.tid / threads_per_cta,
+            exit_tid: u32::MAX,
+            written: Vec::new(),
             cut_at: None,
         }
     }
 
-    /// Enables the CTA-boundary cut under `rule`.
+    /// Enables the replay cut under `rule`.
     pub(crate) fn with_cut(mut self, rule: CtaCut<'a>) -> Self {
+        if rule.thread_exit(self.site.tid).is_some() {
+            self.exit_tid = self.site.tid;
+        }
         self.cut = Some(rule);
         self
     }
 
-    /// The CTA after which the run was cut, and how it ends.
-    pub(crate) fn cut(&self) -> Option<(u32, Cut)> {
+    /// How the run was cut, if it was.
+    pub(crate) fn cut(&self) -> Option<Cut> {
         self.cut_at
     }
 
@@ -370,7 +392,27 @@ impl ExecHook for FastInjectionHook<'_> {
         if cta < self.site_cta || !rule.applies(cta) {
             return false;
         }
-        self.cut_at = rule.judge_memory(cta, global, budget).map(|c| (cta, c));
+        self.cut_at = rule.judge_cta_end(cta, global, budget);
+        self.cut_at.is_some()
+    }
+
+    /// The thread-exit rule at the faulty thread's exit. D is within the
+    /// words it stored since the flip, in this run or in the golden run.
+    fn on_thread_exit(&mut self, tid: u32, released: bool, global: &MemBlock, budget: u64) -> bool {
+        if tid != self.exit_tid || released || !self.inner.triggered() {
+            return false;
+        }
+        let Some(rule) = &self.cut else {
+            return false;
+        };
+        let Some(t) = self.golden.thread(tid) else {
+            return false;
+        };
+        let golden_stores = (t.store_index(self.site.dyn_idx)..t.store_index(t.retirements()))
+            .filter_map(|i| t.store(i))
+            .filter_map(|s| Word::of(s.space, s.addr));
+        let candidates = self.written.iter().copied().chain(golden_stores);
+        self.cut_at = rule.judge_thread_exit(tid, global, budget, candidates);
         self.cut_at.is_some()
     }
 
@@ -397,6 +439,9 @@ impl ExecHook for FastInjectionHook<'_> {
 
     #[inline]
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        if ev.tid == self.exit_tid && self.armed {
+            self.log_stores(&ev);
+        }
         if self.bailed || !self.armed {
             return;
         }
@@ -422,6 +467,24 @@ impl FastInjectionHook<'_> {
         self.set_cta(wb.tid / self.threads_per_cta);
         if out.is_some_and(|v| v != wb.value) {
             self.insert_reg(wb.tid, wb.reg);
+        }
+    }
+
+    /// Logs the global and shared words the faulty thread stores after the
+    /// flip, for the thread-exit rule.
+    #[inline(never)]
+    fn log_stores(&mut self, ev: &RetireEvent<'_>) {
+        for a in ev.accesses.iter().filter(|a| a.is_store) {
+            let Some(w) = Word::of(a.space, a.addr) else {
+                continue;
+            };
+            if !self.written.contains(&w) {
+                if self.written.len() == EXIT_STORE_CAP {
+                    self.exit_tid = u32::MAX;
+                    return;
+                }
+                self.written.push(w);
+            }
         }
     }
 

@@ -26,6 +26,13 @@
 //! throughput, not HTTP throughput, is the bottleneck by design. Every
 //! connection gets a read/write deadline ([`SOCKET_TIMEOUT`]) so a stalled
 //! or half-open peer cannot pin its handler thread forever.
+//!
+//! Request bytes are parsed by [`read_request`], which caps every line and
+//! the body and rejects anything malformed (a bad or oversized
+//! `Content-Length`, a line without a header colon, a truncated body,
+//! non-UTF-8 text) with a [`RequestError`] that the server answers with a
+//! 400. It never panics and never routes a request with a body it did not
+//! read in full.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -40,7 +47,13 @@ use fsp_fleet::Json;
 /// Largest accepted request body (a job spec is tiny; the largest outcome
 /// frame — a full lease chunk of hex-armored 32-byte records — stays well
 /// under this).
-const MAX_BODY: usize = 1 << 20;
+pub const MAX_BODY: usize = 1 << 20;
+
+/// Longest accepted request or header line, in bytes, line end included.
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 64;
 
 /// Per-connection socket deadline, applied to both reads and writes. One
 /// slow, stalled or half-open client (a worker dying mid-request, a
@@ -161,44 +174,177 @@ fn serve_until(listener: &TcpListener, engine: &Arc<Engine>, stop: &AtomicBool) 
     }
 }
 
-fn handle_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+/// A request read off a connection by [`read_request`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Request {
+    /// The method, e.g. `GET`.
+    pub method: String,
+    /// The request target: path and optional `?query`.
+    pub target: String,
+    /// The body, exactly `Content-Length` bytes of UTF-8 (empty without
+    /// the header).
+    pub body: String,
+}
 
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Ok(()); // e.g. the wake-up connection from ServerHandle::stop
+/// Why [`read_request`] returned no request.
+#[derive(Debug)]
+pub enum RequestError {
+    /// The peer closed the connection before sending anything (e.g. the
+    /// wake-up connection of [`ServerHandle::stop`]).
+    Closed,
+    /// The request line is not `METHOD TARGET HTTP/x`.
+    RequestLine,
+    /// A line is longer than [`MAX_LINE`] bytes.
+    LineTooLong,
+    /// More than [`MAX_HEADERS`] header lines.
+    TooManyHeaders,
+    /// A header line has no `name:` part.
+    Header,
+    /// `Content-Length` is not a decimal number, or is given twice with
+    /// different values.
+    ContentLength,
+    /// `Content-Length` exceeds [`MAX_BODY`].
+    BodyTooLarge(usize),
+    /// The connection ended inside the head or the body.
+    Truncated,
+    /// The request line, a header or the body is not UTF-8.
+    Encoding,
+    /// Reading the connection failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::Closed => write!(f, "connection closed before a request"),
+            RequestError::RequestLine => write!(f, "malformed request line"),
+            RequestError::LineTooLong => write!(f, "request line or header over {MAX_LINE} bytes"),
+            RequestError::TooManyHeaders => write!(f, "more than {MAX_HEADERS} headers"),
+            RequestError::Header => write!(f, "malformed header line"),
+            RequestError::ContentLength => write!(f, "malformed Content-Length"),
+            RequestError::BodyTooLarge(n) => {
+                write!(f, "body of {n} bytes exceeds the {MAX_BODY}-byte limit")
+            }
+            RequestError::Truncated => write!(f, "request truncated"),
+            RequestError::Encoding => write!(f, "request is not UTF-8"),
+            RequestError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+/// Reads one line of at most [`MAX_LINE`] bytes, without its line end.
+/// `None` at end of input.
+fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, RequestError> {
+    let mut buf = Vec::new();
+    reader
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut buf)
+        .map_err(RequestError::Io)?;
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    if buf.pop() != Some(b'\n') {
+        // Capped or cut off before the line end.
+        return Err(if buf.len() + 1 == MAX_LINE {
+            RequestError::LineTooLong
+        } else {
+            RequestError::Truncated
+        });
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| RequestError::Encoding)
+}
+
+/// Reads one HTTP/1.1 request: the request line, the headers and exactly
+/// `Content-Length` bytes of body.
+///
+/// # Errors
+///
+/// A [`RequestError`] for input that is not a well-formed request within
+/// the line, header and body limits; [`RequestError::Closed`] if the input
+/// ends before any byte.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
+    let line = read_line(reader)?.ok_or(RequestError::Closed)?;
+    let mut parts = line.split(' ');
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(RequestError::RequestLine);
     };
-    let (method, path) = (method.to_owned(), path.to_owned());
+    if method.is_empty()
+        || !method.bytes().all(|b| b.is_ascii_uppercase())
+        || target.is_empty()
+        || !version.starts_with("HTTP/")
+    {
+        return Err(RequestError::RequestLine);
+    }
+    let (method, target) = (method.to_owned(), target.to_owned());
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut headers = 0;
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
+        let line = read_line(reader)?.ok_or(RequestError::Truncated)?;
         if line.is_empty() {
             break;
         }
-        if let Some(value) = line
-            .split_once(':')
-            .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-            .map(|(_, v)| v.trim())
-        {
-            content_length = value.parse().unwrap_or(0);
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::TooManyHeaders);
         }
+        let (name, value) = line.split_once(':').ok_or(RequestError::Header)?;
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(RequestError::Header);
+        }
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(RequestError::ContentLength);
+        }
+        // All digits: only overflow can fail, and that is over the limit.
+        let n = value.parse().unwrap_or(usize::MAX);
+        if content_length.is_some_and(|m| m != n) {
+            return Err(RequestError::ContentLength);
+        }
+        if n > MAX_BODY {
+            return Err(RequestError::BodyTooLarge(n));
+        }
+        content_length = Some(n);
     }
-    let body = if content_length > 0 && content_length <= MAX_BODY {
-        let mut buf = vec![0u8; content_length];
-        reader.read_exact(&mut buf)?;
-        String::from_utf8_lossy(&buf).into_owned()
-    } else {
-        String::new()
-    };
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
+    reader.read_exact(&mut body).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => RequestError::Truncated,
+        _ => RequestError::Io(e),
+    })?;
+    let body = String::from_utf8(body).map_err(|_| RequestError::Encoding)?;
+    Ok(Request {
+        method,
+        target,
+        body,
+    })
+}
 
-    let (status, content_type, response_body) = {
-        let _request = fsp_obs::span_labeled("http.request", format!("{method} {path}"));
-        route(engine, &method, &path, &body)
+fn handle_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream);
+    let (status, content_type, response_body) = match read_request(&mut reader) {
+        Ok(Request {
+            method,
+            target,
+            body,
+        }) => {
+            let _request = fsp_obs::span_labeled("http.request", format!("{method} {target}"));
+            route(engine, &method, &target, &body)
+        }
+        Err(RequestError::Closed) => return Ok(()),
+        Err(RequestError::Io(e)) => return Err(e),
+        Err(e) => (400, JSON, error_body(&e.to_string())),
     };
     let reason = match status {
         200 => "OK",

@@ -41,7 +41,7 @@ pub mod store;
 pub use client::Client;
 pub use engine::{kernels_json, run_local, Engine, EngineConfig, ResultError};
 pub use fsp_fleet::Json;
-pub use http::{Server, ServerHandle};
+pub use http::{read_request, Request, RequestError, Server, ServerHandle};
 pub use job::{
     progress_to_json, CampaignMode, EarlyStopReport, JobRecord, JobResult, JobSpec, JobState,
     StopSpec,

@@ -47,6 +47,8 @@ pub struct Checkpoint {
     pub(crate) barriers: u64,
     /// Linear index (`cy * gx + cx`) of the CTA executing at the snapshot.
     pub(crate) cta: u32,
+    /// That CTA had released a barrier before the snapshot.
+    pub(crate) released: bool,
     /// Thread states of that CTA.
     pub(crate) threads: Vec<ThreadState>,
     /// The CTA's shared memory.

@@ -20,7 +20,7 @@
 //!
 //! [`Experiment::prepare`]: ../../fsp_inject/campaign/struct.Experiment.html
 
-use fsp_isa::MemSpace;
+use fsp_isa::{MemSpace, Opcode};
 
 use crate::hook::{ExecHook, RetireEvent, Writeback};
 use crate::mem::MemBlock;
@@ -152,44 +152,35 @@ impl GlobalWriteProfile {
     }
 }
 
-/// Grid-wide profile of the golden run's global loads: the last CTA
-/// (serial launch order) that loads each word.
+/// The golden run as seen at its CTA boundaries and thread exits.
 ///
-/// The CTA-boundary cut uses it to prove that no CTA after a boundary
-/// reads a word the fault corrupted. Held as one dense entry per global
-/// word, so building it during the golden run is an indexed store per load
-/// and a lookup is one array read.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalReadProfile {
-    /// `1 + last loading CTA` per word; 0 for words never loaded.
-    last: Vec<u32>,
-}
-
-impl GlobalReadProfile {
-    /// The last CTA that loads global word `addr`, or `None` if the golden
-    /// run never loads it.
-    #[must_use]
-    pub fn last_cta(&self, addr: u32) -> Option<u32> {
-        self.last
-            .get(addr as usize / 4)
-            .and_then(|&c| c.checked_sub(1))
-    }
-}
-
-/// The golden run as seen at its CTA boundaries: global memory and the
-/// retirements still ahead after each CTA, plus the global read profile.
-///
-/// Under the serial schedule nothing but global memory survives a CTA
-/// boundary (shared memory resets, threads start fresh), so these are
-/// what an injected run is compared against to prove that its remaining
-/// CTAs replay the golden run. Recorded by [`BoundaryRecorder`].
+/// A *position* is a golden retirement ordinal: position `p` is the
+/// machine state right after the golden run's `p`-th retirement (1-based,
+/// in serial schedule order). Under the serial schedule nothing but global
+/// memory survives a CTA boundary (shared memory resets, threads start
+/// fresh), and inside a CTA that releases no barrier each thread runs from
+/// start to exit in one quantum, so at a thread's exit every earlier thread
+/// of the CTA is done and every later one is fresh. These records are what
+/// an injected run is compared against to prove that the rest of it
+/// replays the golden run. Recorded by [`BoundaryRecorder`].
 #[derive(Debug, Clone, Default)]
 pub struct GoldenBoundaries {
     /// Global memory after CTA `c` (chunks shared copy-on-write).
     images: Vec<MemBlock>,
-    /// Golden retirements in CTAs after `c`.
-    after: Vec<u64>,
-    reads: GlobalReadProfile,
+    /// Position at the end of CTA `c`.
+    ends: Vec<u32>,
+    /// CTA `c` released a barrier.
+    barrier: Vec<bool>,
+    /// Position of CTA `c`'s last shared-memory load; 0 for none.
+    shared_load: Vec<u32>,
+    /// Position of each thread's last retirement, from per-thread
+    /// retirement counts (meaningful in CTAs that release no barrier).
+    exits: Vec<u32>,
+    /// Position of the last golden load of each global word; 0 for none.
+    last_load: Vec<u32>,
+    /// Position of the last golden store to each global word; 0 for none.
+    last_store: Vec<u32>,
+    threads_per_cta: u32,
 }
 
 impl GoldenBoundaries {
@@ -205,16 +196,58 @@ impl GoldenBoundaries {
         self.images.get(cta as usize)
     }
 
-    /// Instructions the golden run retires in the CTAs after `cta`.
+    /// Golden global memory at the end of the run.
     #[must_use]
-    pub fn retirements_after(&self, cta: u32) -> u64 {
-        self.after.get(cta as usize).copied().unwrap_or(0)
+    pub fn final_image(&self) -> Option<&MemBlock> {
+        self.images.last()
     }
 
-    /// The last-reader profile of global loads.
+    /// The position at the end of CTA `cta` (0 past the last CTA).
     #[must_use]
-    pub fn reads(&self) -> &GlobalReadProfile {
-        &self.reads
+    pub fn end(&self, cta: u32) -> u32 {
+        self.ends.get(cta as usize).copied().unwrap_or(0)
+    }
+
+    /// Instructions the golden run retires after position `pos`.
+    #[must_use]
+    pub fn retirements_after(&self, pos: u32) -> u64 {
+        let total = self.ends.last().copied().unwrap_or(0);
+        u64::from(total.saturating_sub(pos))
+    }
+
+    /// Whether the golden run loads global word `addr` after position
+    /// `pos`.
+    #[must_use]
+    pub fn loaded_after(&self, addr: u32, pos: u32) -> bool {
+        self.last_load
+            .get(addr as usize / 4)
+            .is_some_and(|&p| p > pos)
+    }
+
+    /// Whether the golden run stores global word `addr` after position
+    /// `pos`.
+    #[must_use]
+    pub fn stored_after(&self, addr: u32, pos: u32) -> bool {
+        self.last_store
+            .get(addr as usize / 4)
+            .is_some_and(|&p| p > pos)
+    }
+
+    /// Whether CTA `cta` loads shared memory after position `pos`.
+    #[must_use]
+    pub fn shared_loaded_after(&self, cta: u32, pos: u32) -> bool {
+        self.shared_load.get(cta as usize).is_some_and(|&p| p > pos)
+    }
+
+    /// The CTA of flat thread `tid` and the position of its exit, if a run
+    /// can stop there: its CTA releases no barrier and runs threads after
+    /// it. `None` otherwise (the CTA's end is then the next stop).
+    #[must_use]
+    pub fn thread_exit(&self, tid: u32) -> Option<(u32, u32)> {
+        let cta = tid / self.threads_per_cta.max(1);
+        let pos = *self.exits.get(tid as usize)?;
+        let barrier_free = !*self.barrier.get(cta as usize)?;
+        (barrier_free && pos < self.end(cta)).then_some((cta, pos))
     }
 }
 
@@ -223,49 +256,96 @@ impl GoldenBoundaries {
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryRecorder {
     images: Vec<MemBlock>,
-    /// Unspent budget after each CTA.
-    budgets: Vec<u64>,
-    last: Vec<u32>,
+    ends: Vec<u32>,
+    barrier: Vec<bool>,
+    shared_load: Vec<u32>,
+    last_load: Vec<u32>,
+    last_store: Vec<u32>,
+    threads_per_cta: u32,
+    /// Retirements so far: the position after the running retirement.
+    pos: u32,
+    /// The running CTA retired a `bar`.
+    cta_barrier: bool,
+    /// Position of the running CTA's last shared load.
+    cta_shared_load: u32,
 }
 
 impl BoundaryRecorder {
-    /// A recorder for a launch over `global_words` words of global memory.
+    /// A recorder for `launch` over `global_words` words of global memory.
     #[must_use]
-    pub fn new(global_words: usize) -> Self {
+    pub fn new(launch: &crate::Launch, global_words: usize) -> Self {
+        let ctas = launch.num_ctas() as usize;
         BoundaryRecorder {
-            last: vec![0; global_words],
+            images: Vec::with_capacity(ctas),
+            ends: Vec::with_capacity(ctas),
+            barrier: Vec::with_capacity(ctas),
+            shared_load: Vec::with_capacity(ctas),
+            last_load: vec![0; global_words],
+            last_store: vec![0; global_words],
+            threads_per_cta: launch.threads_per_cta(),
             ..BoundaryRecorder::default()
         }
     }
 
-    /// Finalizes the recording.
+    /// Finalizes the recording. `trace` is the golden trace of the same
+    /// run; each thread's exit position is derived from its retirement
+    /// count. A run too long for `u32` positions records no boundaries.
     #[must_use]
-    pub fn finish(self) -> GoldenBoundaries {
-        let end = self.budgets.last().copied().unwrap_or(0);
+    pub fn finish(self, trace: &GoldenTrace) -> GoldenBoundaries {
+        let mut pos = 0u64;
+        let exits = trace
+            .threads
+            .iter()
+            .map(|t| {
+                pos += t.pcs.len() as u64;
+                pos as u32
+            })
+            .collect();
+        if pos != u64::from(self.pos) {
+            return GoldenBoundaries::default();
+        }
         GoldenBoundaries {
             images: self.images,
-            after: self.budgets.iter().map(|&b| b - end).collect(),
-            reads: GlobalReadProfile { last: self.last },
+            ends: self.ends,
+            barrier: self.barrier,
+            shared_load: self.shared_load,
+            exits,
+            last_load: self.last_load,
+            last_store: self.last_store,
+            threads_per_cta: self.threads_per_cta,
         }
     }
 }
 
 impl ExecHook for BoundaryRecorder {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
-        // CTAs run serially, so the running CTA is the count finished.
-        let cta = self.images.len() as u32;
+        self.pos = self.pos.wrapping_add(1);
         for a in ev.accesses {
-            if !a.is_store && a.space == MemSpace::Global {
-                if let Some(c) = self.last.get_mut(a.addr as usize / 4) {
-                    *c = cta + 1;
+            match (a.space, a.is_store) {
+                (MemSpace::Global, false) => {
+                    if let Some(p) = self.last_load.get_mut(a.addr as usize / 4) {
+                        *p = self.pos;
+                    }
                 }
+                (MemSpace::Global, true) => {
+                    if let Some(p) = self.last_store.get_mut(a.addr as usize / 4) {
+                        *p = self.pos;
+                    }
+                }
+                (MemSpace::Shared, false) => self.cta_shared_load = self.pos,
+                _ => {}
             }
         }
+        // Under the serial schedule a retired `bar` is always released.
+        self.cta_barrier |= ev.instr.opcode == Opcode::Bar;
     }
 
-    fn on_cta_end(&mut self, _cta: u32, global: &MemBlock, budget: u64) -> bool {
+    fn on_cta_end(&mut self, _cta: u32, global: &MemBlock, _budget: u64) -> bool {
         self.images.push(global.clone());
-        self.budgets.push(budget);
+        self.ends.push(self.pos);
+        self.barrier.push(std::mem::take(&mut self.cta_barrier));
+        self.shared_load
+            .push(std::mem::take(&mut self.cta_shared_load));
         false
     }
 }
@@ -422,6 +502,18 @@ mod tests {
         );
     }
 
+    fn boundaries_of(launch: &Launch, words: usize) -> (GoldenBoundaries, crate::RunStats) {
+        let mut rec = GoldenRecorder::new(launch.num_threads());
+        Simulator::new()
+            .run(launch, &mut MemBlock::with_words(words), &mut rec)
+            .expect("golden run");
+        let mut bounds = BoundaryRecorder::new(launch, words);
+        let stats = Simulator::new()
+            .run(launch, &mut MemBlock::with_words(words), &mut bounds)
+            .expect("golden run");
+        (bounds.finish(&rec.finish()), stats)
+    }
+
     #[test]
     fn boundaries_record_images_suffixes_and_last_readers() {
         // Each CTA loads word 0 and stores its id + 1 to word 1 + ctaid;
@@ -441,12 +533,7 @@ mod tests {
         )
         .expect("assembles");
         let launch = Launch::new(program).grid(3, 1).block(1, 1, 1);
-        let mut memory = MemBlock::with_words(16);
-        let mut rec = BoundaryRecorder::new(16);
-        let stats = Simulator::new()
-            .run(&launch, &mut memory, &mut rec)
-            .expect("golden run");
-        let b = rec.finish();
+        let (b, stats) = boundaries_of(&launch, 16);
         assert_eq!(b.num_ctas(), 3);
         for cta in 0..3u32 {
             let image = b.image(cta).expect("image");
@@ -458,13 +545,50 @@ mod tests {
         // CTA 0 retires 8 instructions (its guarded load passes), CTAs 1
         // and 2 retire 7 each.
         assert_eq!(stats.instructions, 22);
-        assert_eq!(b.retirements_after(0), 14);
-        assert_eq!(b.retirements_after(1), 7);
-        assert_eq!(b.retirements_after(2), 0);
-        assert_eq!(b.reads().last_cta(0), Some(2));
-        assert_eq!(b.reads().last_cta(0x20), Some(0));
-        assert_eq!(b.reads().last_cta(4), None, "stored, never loaded");
-        assert_eq!(b.reads().last_cta(4 * 100), None, "out of range");
+        assert_eq!([b.end(0), b.end(1), b.end(2)], [8, 15, 22]);
+        assert_eq!(b.retirements_after(b.end(0)), 14);
+        assert_eq!(b.retirements_after(b.end(1)), 7);
+        assert_eq!(b.retirements_after(b.end(2)), 0);
+        // Word 0 is loaded at positions 2, 10 and 17; word 8 at 4 only.
+        assert!(b.loaded_after(0, 16) && !b.loaded_after(0, 17));
+        assert!(b.loaded_after(0x20, 3) && !b.loaded_after(0x20, 4));
+        assert!(!b.loaded_after(4, 0), "stored, never loaded");
+        assert!(b.stored_after(4, 6) && !b.stored_after(4, 7));
+        assert!(!b.loaded_after(4 * 100, 0), "out of range");
+        // One-thread CTAs: a thread's exit is its CTA's end.
+        assert_eq!(b.thread_exit(0), None);
+    }
+
+    #[test]
+    fn thread_exits_need_a_barrier_free_cta_and_a_later_thread() {
+        // CTA 0 runs a guarded `bar`; every thread loads a parameter from
+        // shared memory, then stores its tid.
+        let program = assemble(
+            "exits",
+            r#"
+            cvt.u32.u16 $r1, %ctaid.x
+            set.eq.u32.u32 $p0/$o127, $r1, $r124
+            @$p0.ne bar.sync 0x0
+            add.u32 $r2, $r124, s[0x0010]
+            cvt.u32.u16 $r3, %tid.x
+            shl.u32 $r4, $r3, 0x2
+            st.global.u32 [$r4], $r3
+            exit
+            "#,
+        )
+        .expect("assembles");
+        let launch = Launch::new(program).grid(2, 1).block(3, 1, 1).param(0);
+        let (b, _) = boundaries_of(&launch, 4);
+        // CTA 0: 3 threads of 8 retirements; CTA 1: 3 of 7.
+        assert_eq!([b.end(0), b.end(1)], [24, 45]);
+        assert_eq!(b.thread_exit(0), None, "CTA 0 releases a barrier");
+        assert_eq!(b.thread_exit(3), Some((1, 31)));
+        assert_eq!(b.thread_exit(4), Some((1, 38)));
+        assert_eq!(b.thread_exit(5), None, "the last thread ends its CTA");
+        // Thread 5 loads its parameter at position 41; thread 3 stores
+        // word 0 at position 30.
+        assert!(b.shared_loaded_after(1, 40) && !b.shared_loaded_after(1, 41));
+        assert!(b.stored_after(0, 29) && !b.stored_after(0, 30));
     }
 
     #[test]

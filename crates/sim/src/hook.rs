@@ -168,6 +168,24 @@ pub trait ExecHook {
     fn on_cta_end(&mut self, _cta: u32, _global: &MemBlock, _budget: u64) -> bool {
         false
     }
+
+    /// Called after thread `tid` exits under the thread-serial schedule,
+    /// with the global memory and the budget it left behind. `released`
+    /// says whether its CTA has released a barrier in this run so far
+    /// (for a resumed run, counting the checkpointed prefix). Returning
+    /// `true` stops the run there, like [`ExecHook::on_cta_end`]. The
+    /// injection fast path uses it to stop a run once the faulty thread
+    /// has exited and the rest of the run provably replays the golden run.
+    #[inline]
+    fn on_thread_exit(
+        &mut self,
+        _tid: u32,
+        _released: bool,
+        _global: &MemBlock,
+        _budget: u64,
+    ) -> bool {
+        false
+    }
 }
 
 /// The do-nothing hook (fault-free, untraced execution).
@@ -207,5 +225,10 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     #[inline]
     fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
         (**self).on_cta_end(cta, global, budget)
+    }
+
+    #[inline]
+    fn on_thread_exit(&mut self, tid: u32, released: bool, global: &MemBlock, budget: u64) -> bool {
+        (**self).on_thread_exit(tid, released, global, budget)
     }
 }

@@ -68,8 +68,8 @@ pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use decode::operand_ty;
 pub use exec::{apply_half_neg, eval_op, flags_of, pred_test, SimFault};
 pub use golden::{
-    BoundaryRecorder, GlobalReadProfile, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries,
-    GoldenRecorder, GoldenStore, GoldenThread, GoldenTrace,
+    BoundaryRecorder, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries, GoldenRecorder,
+    GoldenStore, GoldenThread, GoldenTrace,
 };
 pub use hook::{ExecHook, MemAccess, MemView, NopHook, RetireEvent, Writeback};
 pub use launch::Launch;

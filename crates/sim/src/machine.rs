@@ -154,9 +154,10 @@ impl Simulator {
     /// `hook`.
     ///
     /// In thread-serial mode the hook's [`ExecHook::converged`] is polled
-    /// between steps and [`ExecHook::on_cta_end`] is called after each CTA;
-    /// a `true` from either stops the run early with the stats retired so
-    /// far.
+    /// between steps, [`ExecHook::on_thread_exit`] is called after each
+    /// thread exits and [`ExecHook::on_cta_end`] after each CTA; a `true`
+    /// from any of them stops the run early with the stats retired so far.
+    /// Warp-lockstep runs call none of the three.
     ///
     /// # Errors
     ///
@@ -257,6 +258,7 @@ impl Simulator {
                             hook,
                             budget,
                             &mut barriers,
+                            false,
                         )? || hook.on_cta_end(cy * gx + cx, ctx.global, *budget)
                         {
                             return Ok(barriers);
@@ -283,7 +285,8 @@ impl Simulator {
     /// are ordered by [`Checkpoint::retired`] and every per-thread
     /// [`Checkpoint::icnt`] is nondecreasing across them.
     ///
-    /// [`ExecHook::on_cta_end`] is called after each CTA; a `true` stops
+    /// [`ExecHook::on_thread_exit`] is called after each thread exits and
+    /// [`ExecHook::on_cta_end`] after each CTA; a `true` from either stops
     /// the run there with the checkpoints captured so far.
     ///
     /// # Errors
@@ -328,10 +331,11 @@ impl Simulator {
         let mut next_at = interval;
         let mut ctx = ExecCtx::new(launch, global, &mut shared);
 
-        for cta in 0..nctas {
+        'grid: for cta in 0..nctas {
             let (cx, cy) = (cta % gx, cta / gx);
             reset_shared(ctx.shared, launch);
             fill_cta_threads(&mut threads, launch, cx, cy);
+            let mut released = false;
             loop {
                 let mut all_done = true;
                 for i in 0..cta_threads {
@@ -357,6 +361,7 @@ impl Simulator {
                                 retired,
                                 barriers: stats.barriers,
                                 cta,
+                                released,
                                 threads: threads[..cta_threads].to_vec(),
                                 shared: ctx.shared.clone(),
                                 global: ctx.global.clone(),
@@ -381,7 +386,12 @@ impl Simulator {
                                 all_done = false;
                                 break;
                             }
-                            StepEffect::Done => break,
+                            StepEffect::Done => {
+                                if hook.on_thread_exit(ctx.tid, released, ctx.global, budget) {
+                                    break 'grid;
+                                }
+                                break;
+                            }
                         }
                     }
                 }
@@ -389,6 +399,7 @@ impl Simulator {
                     break;
                 }
                 stats.barriers += 1;
+                released = true;
                 for thread in threads.iter_mut() {
                     if thread.status == ThreadStatus::AtBarrier {
                         thread.status = ThreadStatus::Ready;
@@ -518,6 +529,7 @@ fn resume<H: ExecHook>(
             hook,
             budget,
             &mut barriers,
+            cta == checkpoint.cta && checkpoint.released,
         )? || hook.on_cta_end(cta, ctx.global, *budget)
         {
             break;
@@ -527,7 +539,9 @@ fn resume<H: ExecHook>(
 }
 
 /// Runs one CTA to completion under the serial schedule. Returns `true`
-/// if the hook reported convergence and the run should stop early.
+/// if the hook reported convergence, or asked to stop at a thread's exit,
+/// and the run should stop early. `released` says whether the CTA has
+/// already released a barrier (a CTA resumed from a checkpoint).
 ///
 /// Each thread's quantum is watched by a [`SpinDetector`]: under the
 /// serial schedule a quantum has exclusive access to the machine, so a
@@ -543,6 +557,7 @@ fn run_cta<H: ExecHook>(
     hook: &mut H,
     budget: &mut u64,
     barriers: &mut u64,
+    mut released: bool,
 ) -> Result<bool, SimFault> {
     // Live (not yet exited) threads: the detector may only persist
     // across barriers once the watched thread is the last one.
@@ -581,6 +596,9 @@ fn run_cta<H: ExecHook>(
                     }
                     StepEffect::Done => {
                         live -= 1;
+                        if hook.on_thread_exit(ctx.tid, released, ctx.global, *budget) {
+                            return Ok(true);
+                        }
                         break;
                     }
                 }
@@ -592,6 +610,7 @@ fn run_cta<H: ExecHook>(
         }
         // Every live thread is at the barrier: release them all.
         *barriers += 1;
+        released = true;
         for thread in threads.iter_mut() {
             if thread.status == ThreadStatus::AtBarrier {
                 thread.status = ThreadStatus::Ready;
@@ -1745,6 +1764,167 @@ mod tests {
         let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
         let stats = sim.run_from(cp, &launch, &mut global, &mut hook).unwrap();
         check(&hook, stats, &global, cp.retired);
+    }
+
+    /// Three CTAs of four threads; only CTA 1 runs a (guarded) barrier.
+    fn exit_kernel() -> Launch {
+        let p = assemble(
+            "t",
+            r#"
+            cvt.u32.u16 $r1, %tid.x
+            cvt.u32.u16 $r2, %ctaid.x
+            mov.u32 $r5, 0x0
+            mov.u32 $r6, 0x4
+            loop:
+            add.u32 $r5, $r5, 0x1
+            set.lt.u32.u32 $p0/$o127, $r5, $r6
+            @$p0.ne bra loop
+            set.eq.u32.u32 $p1/$o127, $r2, 0x1
+            @$p1.ne bar.sync 0x0
+            mad.lo.u32 $r4, $r2, 0x4, $r1
+            shl.u32 $r4, $r4, 0x2
+            add.u32 $r4, $r4, s[0x0010]
+            st.global.u32 [$r4], $r5
+            exit
+            "#,
+        )
+        .unwrap();
+        Launch::new(p)
+            .grid(3, 1)
+            .block(4, 1, 1)
+            .param(0)
+            .instr_budget(100_000)
+    }
+
+    /// Logs every thread exit (tid, `released`) and CTA end, and asks to
+    /// stop at the exit of thread `stop_at`.
+    #[derive(Default)]
+    struct ExitHook {
+        retired: u64,
+        exits: Vec<(u32, bool)>,
+        ctas: Vec<u32>,
+        stop_at: Option<u32>,
+    }
+
+    impl ExecHook for ExitHook {
+        fn on_retire(&mut self, _ev: crate::hook::RetireEvent<'_>) {
+            self.retired += 1;
+        }
+
+        fn on_cta_end(&mut self, cta: u32, _global: &MemBlock, _budget: u64) -> bool {
+            self.ctas.push(cta);
+            false
+        }
+
+        fn on_thread_exit(
+            &mut self,
+            tid: u32,
+            released: bool,
+            _global: &MemBlock,
+            _budget: u64,
+        ) -> bool {
+            self.exits.push((tid, released));
+            self.stop_at == Some(tid)
+        }
+    }
+
+    #[test]
+    fn thread_exit_fires_once_per_thread_on_every_run_path() {
+        let launch = exit_kernel();
+        let sim = Simulator::new();
+        let mut plain = ExitHook::default();
+        sim.run(&launch, &mut MemBlock::with_words(16), &mut plain)
+            .unwrap();
+        let want: Vec<(u32, bool)> = (0..12).map(|t| (t, t / 4 == 1)).collect();
+        assert_eq!(plain.exits, want);
+
+        let mut ckpt = ExitHook::default();
+        let (_, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut MemBlock::with_words(16),
+                &mut ckpt,
+                CheckpointConfig {
+                    interval: 3,
+                    max: 1000,
+                },
+            )
+            .unwrap();
+        assert_eq!(ckpt.exits, want);
+        assert!(
+            cps.iter().any(|c| c.cta == 1 && c.released),
+            "want a snapshot after CTA 1's release"
+        );
+
+        for cp in &cps {
+            let mut resumed = ExitHook::default();
+            sim.run_from(cp, &launch, &mut MemBlock::with_words(16), &mut resumed)
+                .unwrap();
+            // Threads that exited before the snapshot do not exit again.
+            let done = 4 * cp.cta as usize
+                + cp.threads
+                    .iter()
+                    .filter(|t| t.status == ThreadStatus::Done)
+                    .count();
+            assert_eq!(resumed.exits[..], want[done..], "resume at {}", cp.retired);
+        }
+
+        let mut warp = ExitHook::default();
+        Simulator::warp_lockstep(4)
+            .run(&launch, &mut MemBlock::with_words(16), &mut warp)
+            .unwrap();
+        assert!(warp.exits.is_empty(), "never called in warp lockstep");
+        assert_eq!(warp.ctas, [] as [u32; 0]);
+    }
+
+    #[test]
+    fn thread_exit_returning_true_stops_the_run() {
+        let launch = exit_kernel();
+        let sim = Simulator::new();
+        let stop = || ExitHook {
+            stop_at: Some(5),
+            ..ExitHook::default()
+        };
+        let check = |hook: &ExitHook, stats: RunStats, global: &MemBlock| {
+            assert_eq!(hook.exits.last(), Some(&(5, true)));
+            assert_eq!(hook.ctas, [0], "CTA 1 never ends");
+            assert_eq!(stats.instructions, hook.retired);
+            // Threads 4 and 5 stored their words; 6, 7 and CTA 2 never ran
+            // past the barrier.
+            let words = global.to_vec();
+            assert_eq!(words[4..6], [4, 4]);
+            assert!(words[6..].iter().all(|&w| w == 0));
+        };
+
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let stats = sim.run(&launch, &mut global, &mut hook).unwrap();
+        check(&hook, stats, &global);
+        let full = launch.budget() - stats.instructions;
+
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let (stats, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut global,
+                &mut hook,
+                CheckpointConfig {
+                    interval: 3,
+                    max: 1000,
+                },
+            )
+            .unwrap();
+        check(&hook, stats, &global);
+        assert_eq!(launch.budget() - stats.instructions, full);
+
+        let cp = cps
+            .iter()
+            .find(|c| c.cta == 1 && c.released)
+            .expect("a snapshot after CTA 1's release");
+        let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
+        let stats = sim.run_from(cp, &launch, &mut global, &mut hook).unwrap();
+        assert_eq!(hook.exits.last(), Some(&(5, true)));
+        assert_eq!(cp.retired() + stats.instructions, launch.budget() - full);
+        assert!(global.to_vec()[6..].iter().all(|&w| w == 0));
     }
 
     #[test]
