@@ -34,8 +34,9 @@ COMMANDS:
     harden-report <kernel>       Coverage-vs-overhead curve over a budget sweep
     bench-inject [-n N] [--json] Benchmark campaign throughput per kernel:
                                  slow path (full re-execution) vs solo fast
-                                 path (checkpoint resume + early convergence)
-                                 vs batched fast path (multi-lane golden
+                                 path (--batch 1: each site one checkpoint-
+                                 resumed fault run plus the replay cut) vs
+                                 batched fast path (multi-lane golden
                                  replay, see --batch); --json writes
                                  BENCH_inject.json (override with --out)
     ptx <file.ptx>               Translate an nvcc-style PTX kernel and disassemble it
@@ -72,8 +73,9 @@ OPTIONS:
     --seed S       RNG seed (default 0xF5EED)
     --batch N      For `bench-inject`: lane budget for batched multi-lane
                    injection — sites sharing a CTA ride one golden replay
-                   as shadow lanes (default 16, max 64; 1 = solo path;
-                   campaigns elsewhere always use the default budget)
+                   as shadow lanes (default 16, max 64; 1 = solo: every
+                   site runs as one fault run plus the replay cut, with no
+                   lanes; campaigns elsewhere always use the default budget)
     --out PATH     For `reproduce`: also write the artifact text to PATH
     -n N           Samples for `campaign`/`submit` (default: statistical
                    baseline / pruned mode)
@@ -804,7 +806,8 @@ struct BenchRow {
     sites: usize,
     /// Batched fast path (multi-lane golden replay, `--batch` lanes).
     fast_secs: f64,
-    /// Fast path with a lane budget of 1 (per-site checkpoint resume).
+    /// Fast path with a lane budget of 1: every site one fault run,
+    /// resumed from a checkpoint and stopped at the replay cut.
     solo_secs: f64,
     slow_secs: f64,
     /// Mean lanes resolved per shared replay in the batched run.
@@ -827,9 +830,11 @@ struct BenchRow {
 
 /// Benchmarks campaign throughput per registry kernel: the same sampled
 /// single-bit-flip campaign is run on the slow path (full re-execution
-/// per site) and the fast path (checkpoint resume + early convergence),
-/// asserting the outcome vectors match along the way. With `--json` the
-/// measurements are written as `BENCH_inject.json` (or `--out PATH`).
+/// per site), the solo fast path (`--batch 1`: each site a fault run
+/// resumed from a checkpoint and stopped at the replay cut) and the
+/// batched fast path, asserting the outcome vectors match along the way.
+/// With `--json` the measurements are written as `BENCH_inject.json` (or
+/// `--out PATH`).
 fn bench_inject(
     samples: Option<usize>,
     opts: &Options,
@@ -861,8 +866,8 @@ fn bench_inject(
         // Each path is run twice and the faster wall time kept: min-of-k
         // is the standard robust estimator for wall-clock benchmarks, and
         // it also absorbs the fast path's one-time cost of faulting the
-        // checkpoint and golden-trace structures into cache (the slow path
-        // never touches them).
+        // checkpoint and golden-boundary structures into cache (the slow
+        // path never touches them).
         let mut timed = |fast: bool, batch: usize, label: &'static str| {
             experiment.set_fast_path(fast);
             experiment.set_batch(batch);
@@ -1024,6 +1029,7 @@ fn bench_inject(
             ]);
         }
         println!("{t}");
+        println!("solo = --batch 1: every site one fault run plus the replay cut, no lanes");
         println!(
             "aggregate over {} kernels: {} sites, {:.0} -> {:.0} -> {:.0} sites/s \
              ({:.2}x vs slow, {:.2}x vs solo, batch {})",

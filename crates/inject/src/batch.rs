@@ -10,16 +10,13 @@
 //! divergence set of one injected run relative to the golden stream flowing
 //! past.
 //!
-//! The key identity making this sound is the one the solo fast path
-//! ([`crate::FastInjectionHook`]) already relies on, applied in reverse:
-//! as long as an injected run retires the *same instruction stream* as the
-//! golden run, its machine state is `golden state + divergence set`. The
-//! solo tracker executes the faulty run and diffs against a recorded golden
-//! trace; the batch tracker executes the golden run and *recomputes* each
-//! lane's divergent values from [`fsp_sim::RetireEvent::srcs`] through
-//! [`fsp_sim::eval_op`] — the very evaluator the simulator commits through,
-//! so lane values are bit-identical to a real faulty execution by
-//! construction.
+//! The key identity making this sound: as long as an injected run retires
+//! the *same instruction stream* as the golden run, its machine state is
+//! `golden state + divergence set`. The hook executes the golden run and
+//! *recomputes* each lane's divergent values from
+//! [`fsp_sim::RetireEvent::srcs`] through [`fsp_sim::eval_op`] — the very
+//! evaluator the simulator commits through, so lane values are
+//! bit-identical to a real faulty execution by construction.
 //!
 //! Per dynamic instruction the stream is decoded, its operands resolved and
 //! its result evaluated **once**; each lane then pays only for events that
@@ -71,7 +68,6 @@ use fsp_sim::{
 use fsp_stats::Outcome;
 
 use crate::cut::{At, CtaCut, Cut, Word};
-use crate::fastpath::{reg_key, space_code};
 use crate::model::FaultModel;
 use crate::site::FaultSite;
 
@@ -89,16 +85,39 @@ pub const DEFAULT_BATCH: usize = 16;
 /// than re-running the lane solo.
 const LANE_ENTRY_CAP: usize = 192;
 
-/// Per-lane budget of *processed* events after its flip, mirroring the solo
-/// tracker's `TRACK_WINDOW`: most masking overwrites land within a few
-/// hundred instructions, and a lane still divergent after this much tracked
-/// work almost always stays divergent.
+/// Per-lane budget of *processed* events after its flip: most masking
+/// overwrites land within a few hundred instructions, and a lane still
+/// divergent after this much tracked work almost always stays divergent.
 const LANE_TRACK_WINDOW: u32 = 4096;
 
 /// Space codes (see [`space_code`]), named for the scans below.
 const GLOBAL: u8 = 0;
 const SHARED: u8 = 1;
 const LOCAL: u8 = 2;
+
+/// Compact key for a register: thread-private, so keyed per tid elsewhere.
+/// `None` for registers that cannot carry state (`$r124`, `$o127`,
+/// specials) — writes to them are discarded and never diverge.
+fn reg_key(reg: Register) -> Option<u16> {
+    match reg {
+        Register::Special(_) | Register::Discard => None,
+        Register::Gpr(124) => None,
+        Register::Gpr(n) => Some(u16::from(n)),
+        Register::Pred(n) => Some(0x100 | u16::from(n)),
+        Register::Ofs(n) => Some(0x200 | u16::from(n)),
+    }
+}
+
+/// Code of a memory word's space in a lane's overlay key `(space code,
+/// owner, byte address)`. Global words have one owner (0); shared words
+/// are owned by their CTA; local words by their thread.
+fn space_code(space: MemSpace) -> u8 {
+    match space {
+        MemSpace::Global => GLOBAL,
+        MemSpace::Shared => SHARED,
+        MemSpace::Local => LOCAL,
+    }
+}
 
 /// Why a tracked lane retired with a classified outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

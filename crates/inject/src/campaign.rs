@@ -2,28 +2,29 @@
 //!
 //! Campaigns run on a checkpoint-resume fast path: the golden run captured
 //! by [`Experiment::prepare`] leaves behind resumable machine snapshots
-//! ([`fsp_sim::Checkpoint`]), each injected run resumes from the closest
+//! ([`fsp_sim::Checkpoint`]), and each run resumes from the closest
 //! snapshot at or before its fault site instead of re-executing the shared
-//! golden prefix, and a value-divergence tracker
-//! ([`crate::FastInjectionHook`]) compares every post-flip commit against
-//! the recorded golden value trace and stops the suffix early once the
-//! fault's divergence set provably empties (the run is `Masked` by
-//! construction). Whether or not it does, a run stops at the faulty
-//! thread's exit or the first CTA boundary from which the rest of the run
-//! provably replays the golden run (`crate::cut`), classified from its
-//! corrupted words alone.
+//! golden prefix. The fast path has two engines. Batched lanes
+//! (`crate::batch`) ride one fault-free replay per group of sites and
+//! track each site's divergence from it; every unit of a batched campaign
+//! is such a replay. The solo engine (`crate::solo`) runs one faulty
+//! execution and stops it at the faulty thread's exit or the first CTA
+//! boundary from which the rest of the run provably replays the golden run
+//! (`crate::cut`), classified from its corrupted words alone; it runs the
+//! lanes a replay demotes, single injections and every site at a lane
+//! budget of 1.
 //! The slow path — a full re-execution per site — is kept behind
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
-//! two paths are byte-identical in outcomes and SDC severities.
+//! paths are byte-identical in outcomes and SDC severities.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fsp_isa::PredTest;
 use fsp_sim::{
-    BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, FullTraces, GlobalWriteProfile,
-    GoldenBoundaries, GoldenRecorder, GoldenTrace, KernelTrace, Launch, MemBlock, ResumeScratch,
-    RetireEvent, SimFault, Simulator, Tracer, Writeback,
+    BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, FullTraces, GoldenBoundaries,
+    KernelTrace, Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator, Tracer,
+    Writeback,
 };
 use fsp_stats::{Outcome, OutcomeKind, ResilienceProfile};
 
@@ -31,9 +32,9 @@ use crate::batch::{
     BatchInjectionHook, DemoteCause, LaneEnd, RetireCause, DEFAULT_BATCH, MAX_BATCH,
 };
 use crate::cut::{CtaCut, CutMetrics};
-use crate::fastpath::FastInjectionHook;
 use crate::hook::InjectionHook;
 use crate::site::{SiteSpace, WeightedSite};
+use crate::solo::SoloHook;
 use crate::target::InjectionTarget;
 
 /// Sites per work unit handed to a campaign worker. Small enough to load
@@ -42,11 +43,11 @@ use crate::target::InjectionTarget;
 const CHUNK: usize = 16;
 
 /// Launches with at most this many threads get full per-thread traces,
-/// golden checkpoints and the golden value trace captured during
+/// golden checkpoints and the golden boundaries captured during
 /// [`Experiment::prepare`]. Larger launches (paper-scale grids) skip all
-/// three — a grid-wide per-checkpoint `icnt` table and a full value trace
-/// per thread would dwarf the kernel's own memory — and campaigns over
-/// them fall back to plain full re-execution per site.
+/// three — a grid-wide per-checkpoint `icnt` table and a full trace per
+/// thread would dwarf the kernel's own memory — and campaigns over them
+/// fall back to plain full re-execution per site.
 const FULL_TRACE_THREAD_LIMIT: u32 = 4096;
 
 /// Chunk-level progress events from a running campaign.
@@ -149,14 +150,8 @@ struct InjectMetrics {
     /// Runs that resumed from a golden checkpoint vs. started cold.
     runs_resumed: fsp_obs::Counter,
     runs_cold: fsp_obs::Counter,
-    /// Fast-path attribution: the divergence tracker proved convergence
-    /// (early `Masked`), bailed to the output comparison, or screened the
-    /// run to completion without doing either.
-    fast_early_masked: fsp_obs::Counter,
-    fast_bailed: fsp_obs::Counter,
-    fast_screened: fsp_obs::Counter,
-    /// Classified outcomes by class, across all three engines (solo,
-    /// fast-path, batched). Recorded once per finished chunk so live
+    /// Classified outcomes by class, across all three engines (batched,
+    /// solo, slow). Recorded once per finished chunk so live
     /// estimators can watch the registry without touching the hot loop.
     outcome_total: [fsp_obs::Counter; 5],
     /// Instructions retired by injected runs, faulted ones included, by
@@ -167,6 +162,10 @@ struct InjectMetrics {
 /// Prometheus label values of the three injection engines: shared batched
 /// replays, solo fast-path runs, slow-path runs.
 const ENGINE_LABELS: [&str; 3] = ["batch", "solo", "slow"];
+
+/// [`ENGINE_LABELS`] indices of the engines that run one site at a time.
+const SOLO: usize = 1;
+const SLOW: usize = 2;
 
 fn inject_metrics() -> &'static InjectMetrics {
     static METRICS: OnceLock<InjectMetrics> = OnceLock::new();
@@ -189,21 +188,6 @@ fn inject_metrics() -> &'static InjectMetrics {
                 "fsp_inject_runs_total",
                 &[("path", "cold")],
                 "Injected runs by start path (checkpoint resume vs. cold).",
-            ),
-            fast_early_masked: r.counter_labeled(
-                "fsp_inject_fastpath_total",
-                &[("result", "early_masked")],
-                "Fast-path runs by how the divergence tracker resolved them.",
-            ),
-            fast_bailed: r.counter_labeled(
-                "fsp_inject_fastpath_total",
-                &[("result", "bailed")],
-                "Fast-path runs by how the divergence tracker resolved them.",
-            ),
-            fast_screened: r.counter_labeled(
-                "fsp_inject_fastpath_total",
-                &[("result", "screened")],
-                "Fast-path runs by how the divergence tracker resolved them.",
             ),
             outcome_total: std::array::from_fn(|i| {
                 r.counter_labeled(
@@ -281,22 +265,14 @@ fn batch_metrics() -> &'static BatchMetrics {
 }
 
 impl InjectMetrics {
-    fn record_run(&self, meta: RunMeta, fast: bool, bailed: bool, outcome: Outcome, start_ns: u64) {
+    /// Records one run of `engine` ([`SOLO`] or [`SLOW`]).
+    fn record_run(&self, engine: usize, meta: RunMeta, outcome: Outcome, start_ns: u64) {
         self.run_nanos[outcome_index(outcome)].record(fsp_obs::now_ns().saturating_sub(start_ns));
-        self.retired[if fast { 1 } else { 2 }].add(meta.executed);
+        self.retired[engine].add(meta.executed);
         if meta.ckpt_hit {
             self.runs_resumed.inc();
         } else {
             self.runs_cold.inc();
-        }
-        if fast {
-            if meta.early {
-                self.fast_early_masked.inc();
-            } else if bailed {
-                self.fast_bailed.inc();
-            } else {
-                self.fast_screened.inc();
-            }
         }
     }
 }
@@ -311,9 +287,6 @@ struct RunMeta {
     executed: u64,
     /// Whether the run resumed from a checkpoint.
     ckpt_hit: bool,
-    /// Whether the run was cut short by early convergence, or was cut at a
-    /// point after which it would have converged.
-    early: bool,
     /// The golden position the run was cut at (see `crate::cut`).
     cut: Option<u32>,
 }
@@ -330,7 +303,8 @@ struct BatchRunMeta {
     /// Instructions actually executed: the shared replay once, plus any
     /// solo fallback runs, faulted ones included.
     executed: u64,
-    /// Lanes resolved by early convergence.
+    /// Lanes resolved by early convergence (see
+    /// [`IncrementalCampaign::early_converged`]).
     early: u64,
     /// Shared golden replays run (1 per batch; 0 when every lane fell
     /// back solo before the replay could start — never happens today).
@@ -356,21 +330,14 @@ pub struct PreparedRun {
     golden: Vec<u32>,
     fault_free_instructions: u64,
     trace: KernelTrace,
-    /// Whether `trace.full` covers every thread of the launch (small
-    /// launches only; see [`FULL_TRACE_THREAD_LIMIT`]).
+    /// Whether `trace.full` covers every thread of the launch and the
+    /// checkpoints and boundaries below were captured (small launches
+    /// only; see [`FULL_TRACE_THREAD_LIMIT`]). Without them the fast path
+    /// is off.
     trace_all: bool,
     checkpoints: Vec<Checkpoint>,
-    /// Fault-free value trace for the divergence tracker (captured together
-    /// with `trace` and `checkpoints`; `None` over
-    /// [`FULL_TRACE_THREAD_LIMIT`] threads, which also disables the fast
-    /// path).
-    golden_trace: Option<GoldenTrace>,
-    /// Golden store count and last-writer CTA per global word, for the
-    /// tracker's cannot-converge proof (empty when `golden_trace` is
-    /// `None`).
-    global_writers: GlobalWriteProfile,
     /// The golden run at each CTA boundary and thread exit, for the replay
-    /// cut (empty when `golden_trace` is `None`).
+    /// cut (empty unless `trace_all`).
     boundaries: GoldenBoundaries,
     /// `fsp_inject_cta_cut_total{at}` and `fsp_inject_cta_cut_refused_total`
     /// for this kernel.
@@ -394,19 +361,17 @@ pub struct Experiment<'a, T: InjectionTarget> {
     batch: usize,
 }
 
-/// Composes the dynamic-instruction tracer with the golden value and CTA
-/// boundary recorders so [`Experiment::prepare`] still runs the fault-free
-/// launch exactly once. No component overrides write-back values or stops
-/// the run, so composition order is immaterial.
+/// Composes the dynamic-instruction tracer with the boundary recorder so
+/// [`Experiment::prepare`] still runs the fault-free launch exactly once.
+/// Neither overrides write-back values or stops the run, so composition
+/// order is immaterial.
 struct PrepareHook<'h> {
     tracer: &'h mut Tracer,
-    golden: &'h mut GoldenRecorder,
     boundaries: &'h mut BoundaryRecorder,
 }
 
 impl ExecHook for PrepareHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
-        self.golden.on_retire(ev);
         self.boundaries.on_retire(ev);
         self.tracer.on_retire(ev);
     }
@@ -416,23 +381,21 @@ impl ExecHook for PrepareHook<'_> {
     }
 
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
-        self.golden.writeback(wb);
         self.tracer.writeback(wb)
     }
 
     fn on_guard_fail(&mut self, tid: u32, pred: u8, test: PredTest) {
-        self.golden.on_guard_fail(tid, pred, test);
         self.tracer.on_guard_fail(tid, pred, test);
     }
 }
 
 impl PreparedRun {
     /// Runs `target` fault-free — once — to capture the golden output,
-    /// calibrate the hang budget, record the golden trace (so
+    /// calibrate the hang budget, record the dynamic-instruction trace (so
     /// [`Experiment::site_space`] needs no second run) and, for launches
     /// under [`FULL_TRACE_THREAD_LIMIT`] threads, snapshot resumable
-    /// checkpoints for the campaign fast path. Each call records one
-    /// `inject.prepare` span.
+    /// checkpoints and record the golden boundaries for the campaign fast
+    /// path. Each call records one `inject.prepare` span.
     ///
     /// # Errors
     ///
@@ -450,19 +413,14 @@ impl PreparedRun {
             tracer = tracer.with_full_traces(0..num_threads);
         }
         let sim = Simulator::new();
-        let mut golden_rec = trace_all.then(|| {
-            (
-                GoldenRecorder::new(num_threads),
-                BoundaryRecorder::new(&launch, initial.len_bytes() / 4),
-            )
-        });
+        let mut boundaries =
+            trace_all.then(|| BoundaryRecorder::new(&launch, initial.len_bytes() / 4));
         let (stats, checkpoints) = {
             let _golden = fsp_obs::span("inject.golden_run");
-            if let Some((values, cta_ends)) = golden_rec.as_mut() {
+            if let Some(boundaries) = boundaries.as_mut() {
                 let mut hook = PrepareHook {
                     tracer: &mut tracer,
-                    golden: values,
-                    boundaries: cta_ends,
+                    boundaries,
                 };
                 sim.run_with_checkpoints(
                     &launch,
@@ -477,23 +435,12 @@ impl PreparedRun {
         let output = target.output_region();
         let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
-        let (golden_trace, boundaries) = match golden_rec {
-            Some((values, cta_ends)) => {
-                let values = values.finish();
-                let boundaries = cta_ends.finish(&values);
-                (Some(values), boundaries)
-            }
-            None => (None, GoldenBoundaries::default()),
-        };
+        let boundaries = boundaries.map(BoundaryRecorder::finish).unwrap_or_default();
         let hangs_predicted = fsp_obs::registry().counter_labeled(
             "fsp_inject_hang_predicted_total",
             &[("kernel", launch.program().name())],
             "Fast-path injected runs proved hung and cut short, by kernel.",
         );
-        let global_writers = golden_trace
-            .as_ref()
-            .map(|t| t.global_write_profile(launch.threads_per_cta()))
-            .unwrap_or_default();
         let cut_metrics = CutMetrics::new(launch.program().name());
         Ok(PreparedRun {
             launch: launch.instr_budget(budget),
@@ -504,8 +451,6 @@ impl PreparedRun {
             trace: tracer.finish(),
             trace_all,
             checkpoints,
-            golden_trace,
-            global_writers,
             boundaries,
             cut_metrics,
             hangs_predicted,
@@ -580,6 +525,12 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         self.run.cut_metrics.refusals()
     }
 
+    /// Whether this view runs the fast path: it is on and
+    /// [`PreparedRun::prepare`] captured what it needs.
+    fn fast(&self) -> bool {
+        self.fast_path && self.run.trace_all
+    }
+
     /// The replay cut rule over this experiment's golden run.
     fn cta_cut(&self) -> CtaCut<'_> {
         CtaCut::new(&self.run.boundaries, self.run.output, &self.run.cut_metrics)
@@ -598,10 +549,11 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         self.run.checkpoints.len()
     }
 
-    /// Enables or disables the checkpoint-resume / early-convergence fast
-    /// path (on by default). The slow path re-executes every injected run
-    /// from the start and classifies purely by output comparison; it exists
-    /// as the differential-testing oracle for the fast path.
+    /// Enables or disables the fast path (on by default): checkpoint
+    /// resume, batched lanes, the replay cut and hang prediction. The slow
+    /// path re-executes every injected run from the start and classifies
+    /// purely by output comparison; it exists as the differential-testing
+    /// oracle for the fast path.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
     }
@@ -616,9 +568,11 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// Sets the number of shadow lanes per batched replay (clamped to
     /// `1..=`[`MAX_BATCH`]). Campaign sites that resume from the same
     /// golden checkpoint and trigger in the same CTA ride one shared
-    /// fault-free replay, up to this many at a time; `1` disables batching
-    /// (every site runs solo). Outcomes are byte-identical across batch
-    /// sizes — batching only changes how the work is amortized.
+    /// fault-free replay, up to this many at a time; a site with no such
+    /// neighbour rides a replay of its own. `1` disables batching: every
+    /// site runs solo, as one faulty run stopped at the replay cut, with
+    /// no early-convergence tracking. Outcomes are byte-identical across
+    /// batch sizes — batching only changes how the work is amortized.
     pub fn set_batch(&mut self, lanes: usize) {
         self.batch = lanes.clamp(1, MAX_BATCH);
     }
@@ -761,18 +715,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let start_ns = fsp_obs::now_ns();
         let sim = Simulator::new();
         let mut meta = RunMeta::default();
-        let mut fast_used = false;
-        let mut bailed = false;
-        let result = if let (true, Some(golden_trace)) = (self.fast_path, &self.run.golden_trace) {
-            fast_used = true;
-            let mut hook = FastInjectionHook::new(
-                site,
-                model,
-                golden_trace,
-                &self.run.global_writers,
-                self.run.launch.threads_per_cta(),
-            )
-            .with_cut(self.cta_cut());
+        let (engine, result) = if self.fast() {
+            let threads_per_cta = self.run.launch.threads_per_cta();
+            let mut hook = SoloHook::new(site, model, threads_per_cta, self.cta_cut());
             let run = match self.checkpoint_for(site) {
                 Some(cp) => {
                     meta.ckpt_hit = true;
@@ -785,56 +730,39 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
             };
             meta.executed = resume.retired();
-            bailed = hook.bailed();
             if hook.hang_predicted() {
                 self.run.hangs_predicted.inc();
             }
-            match run {
-                Ok(_) => {
-                    if hook.converged() {
-                        // The divergence set emptied: the machine state
-                        // equals the golden state at this schedule point,
-                        // and determinism forces the golden outcome.
-                        meta.early = true;
-                        inject_metrics().record_run(meta, true, false, Outcome::Masked, start_ns);
-                        return (Outcome::Masked, meta);
-                    }
-                    if let Some(cut) = hook.cut() {
-                        // The rest of the run replays the golden run. Had
-                        // it gone on, an unbailed tracker would have seen
-                        // every corrupted word restored and converged.
-                        meta.cut = Some(cut.pos);
-                        meta.early = cut.restored && hook.triggered() && !bailed;
-                        inject_metrics().record_run(meta, true, bailed, cut.outcome, start_ns);
-                        return (cut.outcome, meta);
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(e),
+            if let (Ok(_), Some(cut)) = (&run, hook.cut()) {
+                // The rest of the run replays the golden run.
+                meta.cut = Some(cut.pos);
+                inject_metrics().record_run(SOLO, meta, cut.outcome, start_ns);
+                return (cut.outcome, meta);
             }
+            (SOLO, run)
         } else {
             scratch.clone_from(&self.run.initial);
             let mut hook = InjectionHook::with_model(site, model);
             let run = sim.run_with(&self.run.launch, scratch, &mut hook, resume);
             meta.executed = resume.retired();
-            run.map(|_| ())
+            (SLOW, run)
         };
         let outcome = match result {
             Err(SimFault::BudgetExceeded) => Outcome::HANG,
             Err(SimFault::DetectedExit { .. }) => Outcome::Detected,
             Err(_) => Outcome::CRASH,
-            Ok(()) if scratch.region_eq(self.run.output.0, &self.run.golden) => Outcome::Masked,
-            Ok(()) => Outcome::Sdc,
+            Ok(_) if scratch.region_eq(self.run.output.0, &self.run.golden) => Outcome::Masked,
+            Ok(_) => Outcome::Sdc,
         };
-        inject_metrics().record_run(meta, fast_used, bailed, outcome, start_ns);
+        inject_metrics().record_run(engine, meta, outcome, start_ns);
         (outcome, meta)
     }
 
     /// Runs one batched replay over sites sharing a batch group (same
     /// resume checkpoint, same CTA): a single fault-free resumed simulation
-    /// drives one shadow lane per site, lanes whose outcome the tracker
-    /// cannot classify are re-run through [`Experiment::run_one_in`], and
-    /// the per-site outcomes are appended to `outs` in site order.
+    /// drives one shadow lane per site, lanes the replay demotes are re-run
+    /// solo through [`Experiment::run_one_in`], and the per-site outcomes
+    /// are appended to `outs` in site order.
     fn run_batch_in(
         &self,
         batch_sites: &[crate::FaultSite],
@@ -890,7 +818,6 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                     meta.hits += u64::from(rm.ckpt_hit);
                     meta.skipped += rm.skipped;
                     meta.executed += rm.executed;
-                    meta.early += u64::from(rm.early);
                     outs.push(outcome);
                 }
             }
@@ -968,7 +895,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         // Checkpoint-locality schedule: unresolved sites ordered by resume
         // position (ties broken by site index for determinism of the
         // *schedule*; outcomes are order-independent).
-        let batched = self.fast_path && self.run.golden_trace.is_some() && self.batch > 1;
+        let batched = self.fast() && self.batch > 1;
         let order: Vec<usize> = {
             let mut v: Vec<usize> = (0..sites.len())
                 .filter(|&i| outcomes[i].is_none())
@@ -981,7 +908,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                     let (cta, ckpt) = self.batch_group_key(sites[i].site);
                     (cta, ckpt, i)
                 });
-            } else if self.fast_path {
+            } else if self.fast() {
                 v.sort_by_key(|&i| {
                     (
                         self.checkpoint_for(sites[i].site)
@@ -996,9 +923,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         // CTA (capped at the lane budget) when batching, plain fixed-size
         // chunks otherwise. A batch resumes from its first lane's
         // checkpoint — the earliest in the unit, since the schedule sorts
-        // by resume point within the CTA. Single-site units always take
-        // the solo path, so a lane budget of 1 is *exactly* the solo
-        // campaign.
+        // by resume point within the CTA. Every unit of a batched campaign
+        // is a replay, single-site units included; a lane budget of 1 runs
+        // every site solo.
         let units: Vec<(usize, usize)> = if batched {
             let mut u = Vec::new();
             let mut start = 0;
@@ -1055,7 +982,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                             let mut outs = Vec::with_capacity(indices.len());
                             let (mut hits, mut skipped, mut executed, mut early) =
                                 (0u64, 0u64, 0u64, 0u64);
-                            if batched && indices.len() > 1 {
+                            if batched {
                                 let batch_sites: Vec<crate::FaultSite> =
                                     indices.iter().map(|&i| sites[i].site).collect();
                                 let bm = self.run_batch_in(
@@ -1082,7 +1009,6 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                                     hits += u64::from(meta.ckpt_hit);
                                     skipped += meta.skipped;
                                     executed += meta.executed;
-                                    early += u64::from(meta.early);
                                     outs.push(o);
                                 }
                             }
@@ -1153,7 +1079,11 @@ pub struct IncrementalCampaign {
     /// batched replay, and every solo or slow-path run, including the
     /// partial work of runs that crashed or hung.
     pub executed_instructions: u64,
-    /// Injected runs classified `Masked` by early convergence.
+    /// Lanes of batched replays classified `Masked` by early convergence:
+    /// their divergence set emptied, or the replay cut settled them at a
+    /// point after which every corrupted word is stored again or dies.
+    /// Solo runs track no divergence and never count here, so a campaign
+    /// at a lane budget of 1 reports 0.
     pub early_converged: u64,
     /// Shared golden replays run by the batched fast path (0 when the
     /// campaign ran solo).

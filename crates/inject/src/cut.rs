@@ -27,6 +27,8 @@ use fsp_isa::MemSpace;
 use fsp_sim::{GoldenBoundaries, MemBlock};
 use fsp_stats::Outcome;
 
+use crate::site::FaultSite;
+
 /// Where a run is judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum At {
@@ -252,21 +254,26 @@ impl<'a> CtaCut<'a> {
         self.judge(At::CtaEnd, cta, pos, budget, d)
     }
 
-    /// [`CtaCut::judge`] at the exit of thread `tid` for a run whose global
-    /// memory there is `global`, given `candidates`: a superset of D. A
-    /// global candidate no later golden store overwrites is in D iff it
+    /// [`CtaCut::judge`] at the exit of `site`'s thread for a run whose
+    /// global memory there is `global`. D is within the words the thread
+    /// stored since the flip: `written` in this run, or in the golden run.
+    /// A global candidate no later golden store overwrites is in D iff it
     /// differs from the final golden image; the others stay in, which can
     /// only make the rule refuse.
     pub(crate) fn judge_thread_exit(
         &self,
-        tid: u32,
+        site: FaultSite,
         global: &MemBlock,
         budget: u64,
-        candidates: impl IntoIterator<Item = Word>,
+        written: &[Word],
     ) -> Option<Cut> {
-        let (cta, pos) = self.thread_exit(tid)?;
+        let (cta, pos) = self.thread_exit(site.tid)?;
         let last = self.boundaries.final_image()?;
-        let d = candidates.into_iter().filter(|w| {
+        let golden = self
+            .boundaries
+            .stores_from(site.tid, site.dyn_idx)
+            .filter_map(|(space, addr)| Word::of(space, addr));
+        let d = written.iter().copied().chain(golden).filter(|w| {
             w.shared
                 || self.boundaries.stored_after(w.addr, pos)
                 || global.load(w.addr).ok() != last.load(w.addr).ok()

@@ -38,11 +38,11 @@ mod batch;
 mod cache;
 mod campaign;
 mod cut;
-mod fastpath;
 mod hook;
 mod model;
 mod severity;
 mod site;
+mod solo;
 mod target;
 pub mod testing;
 
@@ -52,7 +52,6 @@ pub use campaign::{
     classifier_hash, CampaignObserver, CampaignResult, Experiment, IncrementalCampaign,
     NopObserver, PreparedRun,
 };
-pub use fastpath::FastInjectionHook;
 pub use hook::InjectionHook;
 pub use model::FaultModel;
 pub use severity::{relative_l2_error, SeverityBucket};

@@ -1,0 +1,145 @@
+//! The solo engine: one injected run, stopped at the replay cut.
+//!
+//! [`SoloHook`] runs a single fault through [`InjectionHook`] and applies
+//! the replay cut (`crate::cut`) at the faulty thread's exit, when its CTA
+//! releases no barrier, and at the end of the faulty CTA and of every later
+//! one: once nothing after that point reads a word the run corrupted, the
+//! rest of the run replays the golden run, and the outcome follows from
+//! the corrupted words alone ([`ExecHook::on_thread_exit`],
+//! [`ExecHook::on_cta_end`]). It also lets the simulator cut a run short on
+//! a hang certificate ([`ExecHook::PREDICT_HANGS`]). It tracks no values:
+//! the lanes of a batched replay do that (`crate::batch`), and a campaign
+//! runs solo only the lanes they demote and every site at `--batch 1`.
+//! The slow path is its oracle (`tests/cta_cut.rs`,
+//! `tests/thread_exit_cut.rs`, `tests/hang_prediction.rs`).
+
+use fsp_sim::{ExecHook, MemBlock, RetireEvent, Writeback};
+
+use crate::cut::{CtaCut, Cut, Word};
+use crate::hook::InjectionHook;
+use crate::model::FaultModel;
+use crate::site::FaultSite;
+
+/// Distinct global/shared words the faulty thread may store after the
+/// flip and still be judged at its exit. Past this many the thread-exit
+/// rule refuses (the CTA-end rule still applies): a thread that scatters
+/// this widely almost always corrupts a word a later thread reads.
+const EXIT_STORE_CAP: usize = 32;
+
+/// An [`ExecHook`] that injects one fault (delegating to [`InjectionHook`])
+/// and stops the run at the replay cut.
+#[derive(Debug, Clone)]
+pub(crate) struct SoloHook<'a> {
+    inner: InjectionHook,
+    /// The simulator cut the run short on a hang certificate.
+    hang_predicted: bool,
+    cut: CtaCut<'a>,
+    site: FaultSite,
+    /// CTA of the site's thread: the CTA-end rule applies from its end on.
+    site_cta: u32,
+    /// The site's thread while the thread-exit rule can fire for it (its
+    /// CTA releases no barrier in the golden run and it has not outgrown
+    /// [`EXIT_STORE_CAP`]), else `u32::MAX`: the store log below costs
+    /// nothing where the rule cannot fire.
+    exit_tid: u32,
+    /// Global and shared words `exit_tid` stored since the flip.
+    written: Vec<Word>,
+    /// How the run was cut.
+    cut_at: Option<Cut>,
+}
+
+impl<'a> SoloHook<'a> {
+    /// Arms a hook for `site` under `model`, cut under `rule`.
+    pub(crate) fn new(
+        site: FaultSite,
+        model: FaultModel,
+        threads_per_cta: u32,
+        rule: CtaCut<'a>,
+    ) -> Self {
+        SoloHook {
+            inner: InjectionHook::with_model(site, model),
+            hang_predicted: false,
+            cut: rule,
+            site,
+            site_cta: site.tid / threads_per_cta.max(1),
+            exit_tid: if rule.thread_exit(site.tid).is_some() {
+                site.tid
+            } else {
+                u32::MAX
+            },
+            written: Vec::new(),
+            cut_at: None,
+        }
+    }
+
+    /// How the run was cut, if it was.
+    pub(crate) fn cut(&self) -> Option<Cut> {
+        self.cut_at
+    }
+
+    /// Whether the simulator proved the run a hang and cut it short
+    /// instead of spending the rest of its budget.
+    pub(crate) fn hang_predicted(&self) -> bool {
+        self.hang_predicted
+    }
+
+    /// Logs the global and shared words the faulty thread stores after the
+    /// flip, for the thread-exit rule.
+    #[inline(never)]
+    fn log_stores(&mut self, ev: &RetireEvent<'_>) {
+        for a in ev.accesses.iter().filter(|a| a.is_store) {
+            let Some(w) = Word::of(a.space, a.addr) else {
+                continue;
+            };
+            if !self.written.contains(&w) {
+                if self.written.len() == EXIT_STORE_CAP {
+                    self.exit_tid = u32::MAX;
+                    return;
+                }
+                self.written.push(w);
+            }
+        }
+    }
+}
+
+impl ExecHook for SoloHook<'_> {
+    // A predicted hang ends the run exactly where budget exhaustion would
+    // have: the oracle for it is the slow path, which runs the budget out.
+    const PREDICT_HANGS: bool = true;
+
+    fn on_hang_predicted(&mut self) {
+        self.hang_predicted = true;
+    }
+
+    #[inline]
+    fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
+        self.inner.writeback(wb)
+    }
+
+    #[inline]
+    fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        if ev.tid == self.exit_tid && self.inner.triggered() {
+            self.log_stores(&ev);
+        }
+    }
+
+    fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
+        if cta < self.site_cta || !self.cut.applies(cta) {
+            return false;
+        }
+        self.cut_at = self.cut.judge_cta_end(cta, global, budget);
+        self.cut_at.is_some()
+    }
+
+    /// The thread-exit rule at the faulty thread's exit. D is within the
+    /// words it stored since the flip, in this run or in the golden run.
+    fn on_thread_exit(&mut self, tid: u32, released: bool, global: &MemBlock, budget: u64) -> bool {
+        if tid != self.exit_tid || released || !self.inner.triggered() {
+            return false;
+        }
+        self.cut_at = self
+            .cut
+            .judge_thread_exit(self.site, global, budget, &self.written);
+        self.cut_at.is_some()
+    }
+}

@@ -28,8 +28,7 @@ use fsp_inject::{
     CacheHold, CampaignObserver, Experiment, InjectionTarget, SiteSpace, WeightedSite,
 };
 use fsp_protect::{
-    harden, harden_and_verify, plan_protection, remap_sites, HardenConfig, PlanInputs,
-    ProtectScope, ProtectedTarget,
+    harden, plan_protection, remap_sites, PlanInputs, ProtectScope, ProtectedTarget,
 };
 use fsp_stats::stream::{EarlyStop, StopRule, StreamEstimator};
 use fsp_stats::{Outcome, ResilienceProfile};
@@ -705,60 +704,18 @@ pub fn run_local(spec: &JobSpec, workers: usize) -> Result<Json, String> {
     if spec.stop.is_some() && matches!(spec.mode, CampaignMode::Protect { .. }) {
         return Err("early stopping is not supported for protect jobs".to_owned());
     }
-    let result = if let CampaignMode::Protect {
-        budget_millis,
-        scope,
-        samples,
-    } = spec.mode
-    {
-        let outcome = harden_and_verify(
-            &workload,
-            &protect_config(spec, budget_millis, scope, samples, workers),
-        )
-        .map_err(|e| e.to_string())?;
-        JobResult {
-            fingerprint: program_fingerprint(&outcome.hardened.program),
-            launch: keyed_launch_hash(&workload),
-            sites: outcome.report.samples,
-            profile: outcome.report.protected,
-            early: None,
-        }
-    } else {
-        let experiment = Experiment::prepare(&workload).map_err(|e| e.to_string())?;
-        let runner = Runner {
-            spec,
-            workers,
-            job: None,
-        };
-        match runner.run_planned(&workload, &experiment) {
-            Ok(result) => result,
-            Err(RunEnd::Failed(e)) => return Err(e),
-            Err(_) => unreachable!("only served jobs are interrupted or cancelled"),
-        }
+    let experiment = Experiment::prepare(&workload).map_err(|e| e.to_string())?;
+    let runner = Runner {
+        spec,
+        workers,
+        job: None,
+    };
+    let result = match runner.run(&workload, &experiment) {
+        Ok(result) => result,
+        Err(RunEnd::Failed(e)) => return Err(e),
+        Err(_) => unreachable!("only served jobs are interrupted or cancelled"),
     };
     Ok(crate::job::result_to_json(spec, &result))
-}
-
-/// The [`HardenConfig`] equivalent of a protect job spec. The engine path
-/// mirrors every field of this (same seed, same sample count, no ACE
-/// scaling) so the library and service paths plan identical protections
-/// and report identical profiles.
-fn protect_config(
-    spec: &JobSpec,
-    budget_millis: u32,
-    scope: ProtectScope,
-    samples: usize,
-    workers: usize,
-) -> HardenConfig {
-    HardenConfig {
-        scope,
-        budget: f64::from(budget_millis) / 1000.0,
-        samples,
-        seed: spec.seed,
-        model: spec.model,
-        workers,
-        use_ace: false,
-    }
 }
 
 /// A planned campaign: the sites to run plus the weight the planner
@@ -1002,15 +959,7 @@ fn execute(job: Job<'_>, spec: &JobSpec) -> Result<JobResult, RunEnd> {
         workers: job.shared.campaign_workers,
         job: Some(job),
     };
-    if let CampaignMode::Protect {
-        budget_millis,
-        scope,
-        samples,
-    } = spec.mode
-    {
-        return runner.run_protect(workload, &experiment, budget_millis, scope, samples);
-    }
-    runner.run_planned(workload, &experiment)
+    runner.run(workload, &experiment)
 }
 
 /// The served job a campaign reports to: its injected outcomes go to the
@@ -1142,6 +1091,23 @@ struct Runner<'a> {
 }
 
 impl Runner<'_> {
+    /// Runs the spec: a protect job through [`Runner::run_protect`], any
+    /// other through [`Runner::run_planned`].
+    fn run(
+        &self,
+        workload: &fsp_workloads::Workload,
+        experiment: &Experiment<'_, fsp_workloads::Workload>,
+    ) -> Result<JobResult, RunEnd> {
+        match self.spec.mode {
+            CampaignMode::Protect {
+                budget_millis,
+                scope,
+                samples,
+            } => self.run_protect(workload, experiment, budget_millis, scope, samples),
+            _ => self.run_planned(workload, experiment),
+        }
+    }
+
     /// Plans a sampled or pruned spec and runs its campaign.
     fn run_planned(
         &self,
@@ -1171,9 +1137,10 @@ impl Runner<'_> {
         })
     }
 
-    /// The engine path of a protect job, mirroring
-    /// [`fsp_protect::harden_and_verify`] with both campaigns run by
-    /// [`Runner::campaign`]: the baseline campaign shares cache entries
+    /// A protect job, served or local: the steps of
+    /// [`fsp_protect::harden_and_verify`] (same seed, same sample count,
+    /// no ACE scaling) with both campaigns run by [`Runner::campaign`].
+    /// Served, the baseline campaign shares cache entries
     /// with plain sampled jobs of the same kernel, and the re-injection
     /// campaign keys its outcomes under the *hardened* program's
     /// fingerprint, so resubmitting the same protect spec is a pure warm

@@ -1,156 +1,22 @@
-//! Golden value traces: per-thread commit logs of the fault-free run.
+//! The golden run as the replay cut reads it.
 //!
-//! The checkpoint-resume fast path classifies an injection as Masked the
-//! moment its *divergence set* — the registers and memory words whose
-//! values differ from the fault-free run at the same retirement point —
-//! becomes empty. Deciding membership requires the fault-free values, so
-//! [`Experiment::prepare`] records one [`GoldenTrace`] alongside the
-//! dynamic-instruction trace: for every thread, the PC stream, every
-//! committed register write-back and every store, in retirement order.
-//!
-//! Because the simulator is deterministic and threads only interact at
-//! barrier-phase boundaries (CTAs run serially), a faulty run whose
-//! per-thread PC streams stay aligned with the golden run can be compared
-//! *positionally*: the value committed by thread `t`'s `k`-th retirement
-//! is directly comparable to the golden value at the same `(t, k, slot)`
-//! coordinate, with no cursor state in the tracker. The index structures
-//! here (`wb_end` / `st_end` prefix-sum arrays) exist to make that random
-//! access O(1), which in turn lets checkpoint-resumed runs — which start
-//! mid-stream at an arbitrary `dyn_idx` — share the same trace.
-//!
-//! [`Experiment::prepare`]: ../../fsp_inject/campaign/struct.Experiment.html
+//! An injected run can stop early once the rest of it provably replays the
+//! fault-free run (the injection crate's replay cut). Deciding that needs a
+//! few facts about the golden run at its CTA boundaries and thread exits:
+//! global memory after each CTA, the last load and last store of each
+//! global word, each CTA's last shared load, whether it released a
+//! barrier, each thread's exit position, and the global and shared words
+//! each thread stores. [`BoundaryRecorder`] records them all during the one
+//! fault-free run of `Experiment::prepare`, into [`GoldenBoundaries`].
 
 use fsp_isa::{MemSpace, Opcode};
 
-use crate::hook::{ExecHook, RetireEvent, Writeback};
+use crate::hook::{ExecHook, RetireEvent};
 use crate::mem::MemBlock;
 
-/// One store committed by the golden run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GoldenStore {
-    /// Address space written.
-    pub space: MemSpace,
-    /// Resolved byte address.
-    pub addr: u32,
-    /// The word stored.
-    pub value: u32,
-}
-
-/// The fault-free commit log of a single thread.
-#[derive(Debug, Clone, Default)]
-pub struct GoldenThread {
-    /// PC of the `k`-th retired instruction.
-    pcs: Vec<u32>,
-    /// Exclusive prefix-sum: write-backs committed by retirements `0..=k`.
-    wb_end: Vec<u32>,
-    /// Exclusive prefix-sum: stores committed by retirements `0..=k`.
-    st_end: Vec<u32>,
-    /// All committed register values, in (retirement, slot) order.
-    values: Vec<u32>,
-    /// All committed stores, in retirement order.
-    stores: Vec<GoldenStore>,
-}
-
-impl GoldenThread {
-    /// Number of instructions the thread retired in the golden run.
-    #[must_use]
-    pub fn retirements(&self) -> u32 {
-        self.pcs.len() as u32
-    }
-
-    /// PC of the `k`-th retirement, or `None` past the end of the stream.
-    #[must_use]
-    pub fn pc(&self, k: u32) -> Option<u32> {
-        self.pcs.get(k as usize).copied()
-    }
-
-    /// Index into the value log of the `k`-th retirement's slot-0
-    /// write-back (valid for `k <= retirements()`).
-    #[must_use]
-    pub fn wb_index(&self, k: u32) -> u32 {
-        if k == 0 {
-            0
-        } else {
-            self.wb_end[k as usize - 1]
-        }
-    }
-
-    /// Index into the store log of the `k`-th retirement's store (valid
-    /// for `k <= retirements()`).
-    #[must_use]
-    pub fn store_index(&self, k: u32) -> u32 {
-        if k == 0 {
-            0
-        } else {
-            self.st_end[k as usize - 1]
-        }
-    }
-
-    /// The committed register value at `idx` (see [`Self::wb_index`]).
-    #[must_use]
-    pub fn value(&self, idx: u32) -> Option<u32> {
-        self.values.get(idx as usize).copied()
-    }
-
-    /// The committed store at `idx` (see [`Self::store_index`]).
-    #[must_use]
-    pub fn store(&self, idx: u32) -> Option<GoldenStore> {
-        self.stores.get(idx as usize).copied()
-    }
-}
-
-/// Grid-wide profile of the golden run's stores to one global word.
-///
-/// Built by [`GoldenTrace::global_write_profile`]; the early-convergence
-/// tracker uses it to prove that a divergent output word can never be
-/// restored (no golden store to it remains in the schedule's future) and
-/// stop tracking the run on the spot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalWriteStats {
-    /// Total golden stores to the word, grid-wide.
-    pub count: u32,
-    /// Last CTA (serial launch order) whose threads store the word.
-    pub last_cta: u32,
-}
-
-/// Grid-wide global-store profile: one [`GlobalWriteStats`] per global
-/// word the golden run stores, held as a sorted vector keyed by address.
-/// Lookup is a branch-free binary search — this is probed on the
-/// per-instruction comparison path of the injection fast paths, where the
-/// previous `HashMap` paid a SipHash per divergent store.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalWriteProfile {
-    entries: Vec<(u32, GlobalWriteStats)>,
-}
-
-impl GlobalWriteProfile {
-    /// The profile of global word `addr`, or `None` if the golden run
-    /// never stores it.
-    #[must_use]
-    pub fn get(&self, addr: u32) -> Option<&GlobalWriteStats> {
-        self.entries
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    /// Number of distinct global words stored by the golden run.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the golden run stores no global words.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(addr, stats)` pairs in ascending address order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &GlobalWriteStats)> {
-        self.entries.iter().map(|(a, s)| (*a, s))
-    }
-}
+/// One global or shared store of the golden run: `(tid, dyn_idx, space,
+/// byte address)`.
+type Store = (u32, u32, MemSpace, u32);
 
 /// The golden run as seen at its CTA boundaries and thread exits.
 ///
@@ -180,6 +46,9 @@ pub struct GoldenBoundaries {
     last_load: Vec<u32>,
     /// Position of the last golden store to each global word; 0 for none.
     last_store: Vec<u32>,
+    /// Global and shared stores of the threads of barrier-free CTAs,
+    /// sorted by thread, then retirement.
+    stores: Vec<Store>,
     threads_per_cta: u32,
 }
 
@@ -249,6 +118,20 @@ impl GoldenBoundaries {
         let barrier_free = !*self.barrier.get(cta as usize)?;
         (barrier_free && pos < self.end(cta)).then_some((cta, pos))
     }
+
+    /// The global and shared words, as `(space, byte address)`, that thread
+    /// `tid` of a barrier-free CTA stores from its `dyn_idx`-th retirement
+    /// on in the golden run. Empty for threads of CTAs that release a
+    /// barrier.
+    pub fn stores_from(
+        &self,
+        tid: u32,
+        dyn_idx: u32,
+    ) -> impl Iterator<Item = (MemSpace, u32)> + '_ {
+        let lo = self.stores.partition_point(|s| (s.0, s.1) < (tid, dyn_idx));
+        let hi = self.stores.partition_point(|s| s.0 <= tid);
+        self.stores[lo..hi].iter().map(|s| (s.2, s.3))
+    }
 }
 
 /// Hook that records [`GoldenBoundaries`] during a fault-free
@@ -261,6 +144,12 @@ pub struct BoundaryRecorder {
     shared_load: Vec<u32>,
     last_load: Vec<u32>,
     last_store: Vec<u32>,
+    /// Instructions each thread retired.
+    retired: Vec<u32>,
+    /// Global and shared stores in retirement order; the running CTA's
+    /// start at `cta_stores`.
+    stores: Vec<Store>,
+    cta_stores: usize,
     threads_per_cta: u32,
     /// Retirements so far: the position after the running retirement.
     pos: u32,
@@ -282,28 +171,31 @@ impl BoundaryRecorder {
             shared_load: Vec::with_capacity(ctas),
             last_load: vec![0; global_words],
             last_store: vec![0; global_words],
+            retired: vec![0; launch.num_threads() as usize],
             threads_per_cta: launch.threads_per_cta(),
             ..BoundaryRecorder::default()
         }
     }
 
-    /// Finalizes the recording. `trace` is the golden trace of the same
-    /// run; each thread's exit position is derived from its retirement
-    /// count. A run too long for `u32` positions records no boundaries.
+    /// Finalizes the recording. Each thread's exit position is derived
+    /// from the retirement counts. A run too long for `u32` positions
+    /// records no boundaries.
     #[must_use]
-    pub fn finish(self, trace: &GoldenTrace) -> GoldenBoundaries {
+    pub fn finish(mut self) -> GoldenBoundaries {
         let mut pos = 0u64;
-        let exits = trace
-            .threads
+        let exits = self
+            .retired
             .iter()
-            .map(|t| {
-                pos += t.pcs.len() as u64;
+            .map(|&n| {
+                pos += u64::from(n);
                 pos as u32
             })
             .collect();
         if pos != u64::from(self.pos) {
             return GoldenBoundaries::default();
         }
+        self.stores.sort_by_key(|s| (s.0, s.1));
+        self.stores.shrink_to_fit();
         GoldenBoundaries {
             images: self.images,
             ends: self.ends,
@@ -312,6 +204,7 @@ impl BoundaryRecorder {
             exits,
             last_load: self.last_load,
             last_store: self.last_store,
+            stores: self.stores,
             threads_per_cta: self.threads_per_cta,
         }
     }
@@ -320,6 +213,9 @@ impl BoundaryRecorder {
 impl ExecHook for BoundaryRecorder {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         self.pos = self.pos.wrapping_add(1);
+        if let Some(n) = self.retired.get_mut(ev.tid as usize) {
+            *n += 1;
+        }
         for a in ev.accesses {
             match (a.space, a.is_store) {
                 (MemSpace::Global, false) => {
@@ -335,6 +231,9 @@ impl ExecHook for BoundaryRecorder {
                 (MemSpace::Shared, false) => self.cta_shared_load = self.pos,
                 _ => {}
             }
+            if a.is_store && a.space != MemSpace::Local {
+                self.stores.push((ev.tid, ev.dyn_idx, a.space, a.addr));
+            }
         }
         // Under the serial schedule a retired `bar` is always released.
         self.cta_barrier |= ev.instr.opcode == Opcode::Bar;
@@ -343,111 +242,15 @@ impl ExecHook for BoundaryRecorder {
     fn on_cta_end(&mut self, _cta: u32, global: &MemBlock, _budget: u64) -> bool {
         self.images.push(global.clone());
         self.ends.push(self.pos);
+        if self.cta_barrier {
+            // No thread of a barrier CTA is judged at its exit.
+            self.stores.truncate(self.cta_stores);
+        }
+        self.cta_stores = self.stores.len();
         self.barrier.push(std::mem::take(&mut self.cta_barrier));
         self.shared_load
             .push(std::mem::take(&mut self.cta_shared_load));
         false
-    }
-}
-
-/// Per-thread fault-free commit logs for a whole launch.
-#[derive(Debug, Clone, Default)]
-pub struct GoldenTrace {
-    threads: Vec<GoldenThread>,
-}
-
-impl GoldenTrace {
-    /// Profiles every global word the golden run stores: how many times
-    /// grid-wide and the last CTA to do so. Words absent from the profile
-    /// are never stored by the fault-free run.
-    #[must_use]
-    pub fn global_write_profile(&self, threads_per_cta: u32) -> GlobalWriteProfile {
-        let tpc = threads_per_cta.max(1);
-        let mut map = std::collections::BTreeMap::new();
-        for (tid, t) in self.threads.iter().enumerate() {
-            let cta = tid as u32 / tpc;
-            for s in t.stores.iter().filter(|s| s.space == MemSpace::Global) {
-                let e: &mut GlobalWriteStats = map.entry(s.addr).or_default();
-                e.count += 1;
-                e.last_cta = e.last_cta.max(cta);
-            }
-        }
-        GlobalWriteProfile {
-            entries: map.into_iter().collect(),
-        }
-    }
-
-    /// The commit log of flat thread `tid`, if it is in range.
-    #[must_use]
-    pub fn thread(&self, tid: u32) -> Option<&GoldenThread> {
-        self.threads.get(tid as usize)
-    }
-
-    /// Number of threads in the recorded launch.
-    #[must_use]
-    pub fn num_threads(&self) -> u32 {
-        self.threads.len() as u32
-    }
-
-    /// Total committed register values across all threads (memory sizing).
-    #[must_use]
-    pub fn total_values(&self) -> usize {
-        self.threads.iter().map(|t| t.values.len()).sum()
-    }
-}
-
-/// Hook that records a [`GoldenTrace`] during a fault-free run.
-///
-/// Must be composed so that no other hook overrides write-back values
-/// (the recorder logs `wb.value` as the committed value).
-#[derive(Debug, Clone)]
-pub struct GoldenRecorder {
-    threads: Vec<GoldenThread>,
-}
-
-impl GoldenRecorder {
-    /// A recorder for a launch of `num_threads` flat threads.
-    #[must_use]
-    pub fn new(num_threads: u32) -> Self {
-        GoldenRecorder {
-            threads: vec![GoldenThread::default(); num_threads as usize],
-        }
-    }
-
-    /// Finalizes the recording.
-    #[must_use]
-    pub fn finish(self) -> GoldenTrace {
-        GoldenTrace {
-            threads: self.threads,
-        }
-    }
-}
-
-impl ExecHook for GoldenRecorder {
-    fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
-        let t = &mut self.threads[wb.tid as usize];
-        debug_assert_eq!(
-            t.values.len() as u32,
-            t.wb_index(wb.dyn_idx) + u32::from(wb.slot),
-            "write-back out of retirement order"
-        );
-        t.values.push(wb.value);
-        None
-    }
-
-    fn on_retire(&mut self, ev: RetireEvent<'_>) {
-        let t = &mut self.threads[ev.tid as usize];
-        debug_assert_eq!(t.pcs.len() as u32, ev.dyn_idx, "retirement gap");
-        for a in ev.accesses.iter().filter(|a| a.is_store) {
-            t.stores.push(GoldenStore {
-                space: a.space,
-                addr: a.addr,
-                value: a.value,
-            });
-        }
-        t.pcs.push(ev.pc as u32);
-        t.wb_end.push(t.values.len() as u32);
-        t.st_end.push(t.stores.len() as u32);
     }
 }
 
@@ -457,61 +260,12 @@ mod tests {
     use crate::{Launch, MemBlock, Simulator};
     use fsp_isa::assemble;
 
-    fn trace_of(src: &str, block: u32) -> GoldenTrace {
-        let program = assemble("golden_test", src).expect("assembles");
-        let launch = Launch::new(program).grid(1, 1).block(block, 1, 1);
-        let mut memory = MemBlock::with_words(64);
-        let mut rec = GoldenRecorder::new(launch.num_threads());
-        Simulator::new()
-            .run(&launch, &mut memory, &mut rec)
-            .expect("golden run");
-        rec.finish()
-    }
-
-    #[test]
-    fn records_pc_value_and_store_streams() {
-        let trace = trace_of(
-            r#"
-            mov.u32 $r1, 0x7
-            add.u32 $r1, $r1, 0x3
-            st.global.u32 [0x4], $r1
-            exit
-            "#,
-            1,
-        );
-        let t = trace.thread(0).expect("thread 0");
-        assert_eq!(t.retirements(), 4);
-        assert_eq!(t.pc(0), Some(0));
-        assert_eq!(t.pc(3), Some(3));
-        assert_eq!(t.pc(4), None);
-        // Retirements 0 and 1 each committed one write-back.
-        assert_eq!(t.wb_index(0), 0);
-        assert_eq!(t.wb_index(1), 1);
-        assert_eq!(t.value(t.wb_index(0)), Some(7));
-        assert_eq!(t.value(t.wb_index(1)), Some(10));
-        // The store retired third.
-        assert_eq!(t.store_index(2), 0);
-        assert_eq!(t.store_index(3), 1);
-        assert_eq!(
-            t.store(0),
-            Some(GoldenStore {
-                space: MemSpace::Global,
-                addr: 4,
-                value: 10
-            })
-        );
-    }
-
     fn boundaries_of(launch: &Launch, words: usize) -> (GoldenBoundaries, crate::RunStats) {
-        let mut rec = GoldenRecorder::new(launch.num_threads());
-        Simulator::new()
-            .run(launch, &mut MemBlock::with_words(words), &mut rec)
-            .expect("golden run");
         let mut bounds = BoundaryRecorder::new(launch, words);
         let stats = Simulator::new()
             .run(launch, &mut MemBlock::with_words(words), &mut bounds)
             .expect("golden run");
-        (bounds.finish(&rec.finish()), stats)
+        (bounds.finish(), stats)
     }
 
     #[test]
@@ -557,6 +311,13 @@ mod tests {
         assert!(!b.loaded_after(4 * 100, 0), "out of range");
         // One-thread CTAs: a thread's exit is its CTA's end.
         assert_eq!(b.thread_exit(0), None);
+        // CTA 1's thread stores word 2 at its retirement 5 (the guarded
+        // load fails there).
+        assert_eq!(
+            b.stores_from(1, 5).collect::<Vec<_>>(),
+            [(MemSpace::Global, 8)]
+        );
+        assert_eq!(b.stores_from(1, 6).count(), 0);
     }
 
     #[test]
@@ -589,26 +350,15 @@ mod tests {
         // word 0 at position 30.
         assert!(b.shared_loaded_after(1, 40) && !b.shared_loaded_after(1, 41));
         assert!(b.stored_after(0, 29) && !b.stored_after(0, 30));
-    }
-
-    #[test]
-    fn per_thread_streams_are_independent() {
-        let trace = trace_of(
-            r#"
-            cvt.u32.u16 $r1, %tid.x
-            shl.u32 $r2, $r1, 0x2
-            st.global.u32 [$r2], $r1
-            exit
-            "#,
-            4,
-        );
-        for tid in 0..4 {
-            let t = trace.thread(tid).expect("thread");
-            assert_eq!(t.retirements(), 4);
-            assert_eq!(t.value(t.wb_index(0)), Some(tid));
-            let s = t.store(0).expect("store");
-            assert_eq!((s.addr, s.value), (tid * 4, tid));
+        // Each thread of CTA 1 stores word `tid.x` at its retirement 5;
+        // CTA 0's stores are not kept.
+        for (tid, addr) in [(3, 0), (4, 4), (5, 8)] {
+            let from = |k| b.stores_from(tid, k).collect::<Vec<_>>();
+            assert_eq!(from(0), [(MemSpace::Global, addr)], "thread {tid}");
+            assert_eq!(from(5), from(0));
+            assert!(from(6).is_empty());
         }
-        assert!(trace.thread(4).is_none());
+        assert_eq!(b.stores_from(0, 0).count(), 0);
+        assert_eq!(b.stores_from(6, 0).count(), 0, "out of range");
     }
 }

@@ -67,10 +67,7 @@ mod warp;
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use decode::operand_ty;
 pub use exec::{apply_half_neg, eval_op, flags_of, pred_test, SimFault};
-pub use golden::{
-    BoundaryRecorder, GlobalWriteProfile, GlobalWriteStats, GoldenBoundaries, GoldenRecorder,
-    GoldenStore, GoldenThread, GoldenTrace,
-};
+pub use golden::{BoundaryRecorder, GoldenBoundaries};
 pub use hook::{ExecHook, MemAccess, MemView, NopHook, RetireEvent, Writeback};
 pub use launch::Launch;
 pub use machine::{ExecMode, ResumeScratch, RunStats, Simulator};
