@@ -345,6 +345,9 @@ pub struct PreparedRun {
     /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
     /// simulator proved hung and cut short.
     hangs_predicted: fsp_obs::Counter,
+    /// `fsp_inject_crash_predicted_total{kernel}`: fast-path runs the
+    /// simulator proved to walk out of bounds and cut short.
+    crashes_predicted: fsp_obs::Counter,
 }
 
 /// A prepared injection experiment: a target plus its shared
@@ -436,12 +439,18 @@ impl PreparedRun {
         let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
         let boundaries = boundaries.map(BoundaryRecorder::finish).unwrap_or_default();
+        let kernel = [("kernel", target.name())];
         let hangs_predicted = fsp_obs::registry().counter_labeled(
             "fsp_inject_hang_predicted_total",
-            &[("kernel", launch.program().name())],
+            &kernel,
             "Fast-path injected runs proved hung and cut short, by kernel.",
         );
-        let cut_metrics = CutMetrics::new(launch.program().name());
+        let crashes_predicted = fsp_obs::registry().counter_labeled(
+            "fsp_inject_crash_predicted_total",
+            &kernel,
+            "Fast-path injected runs proved to fault out of bounds and cut short, by kernel.",
+        );
+        let cut_metrics = CutMetrics::new(target.name());
         Ok(PreparedRun {
             launch: launch.instr_budget(budget),
             output,
@@ -454,6 +463,7 @@ impl PreparedRun {
             boundaries,
             cut_metrics,
             hangs_predicted,
+            crashes_predicted,
         })
     }
 }
@@ -505,6 +515,14 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn hangs_predicted(&self) -> u64 {
         self.run.hangs_predicted.get()
+    }
+
+    /// Fast-path injected runs of this kernel, process-wide, that the
+    /// simulator proved to end in an out-of-bounds access and cut short
+    /// before the access (the `fsp_inject_crash_predicted_total` series).
+    #[must_use]
+    pub fn crashes_predicted(&self) -> u64 {
+        self.run.crashes_predicted.get()
     }
 
     /// Fast-path injected runs of this kernel, process-wide, stopped at a
@@ -730,8 +748,10 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
             };
             meta.executed = resume.retired();
-            if hook.hang_predicted() {
-                self.run.hangs_predicted.inc();
+            match hook.predicted() {
+                Some(SimFault::BudgetExceeded) => self.run.hangs_predicted.inc(),
+                Some(_) => self.run.crashes_predicted.inc(),
+                None => {}
             }
             if let (Ok(_), Some(cut)) = (&run, hook.cut()) {
                 // The rest of the run replays the golden run.

@@ -98,8 +98,9 @@ pub(crate) struct CutMetrics {
 }
 
 impl CutMetrics {
-    /// The counters of the kernel named `kernel` (the program name, as
-    /// `fsp_inject_hang_predicted_total` is labelled).
+    /// The counters of the kernel named `kernel`: the target's name, which
+    /// for a registry kernel is its registry id, as
+    /// `fsp_inject_hang_predicted_total` is labelled.
     pub(crate) fn new(kernel: &str) -> Self {
         let r = fsp_obs::registry();
         let cut = |at, outcome| {

@@ -7,13 +7,14 @@
 //! rest of the run replays the golden run, and the outcome follows from
 //! the corrupted words alone ([`ExecHook::on_thread_exit`],
 //! [`ExecHook::on_cta_end`]). It also lets the simulator cut a run short on
-//! a hang certificate ([`ExecHook::PREDICT_HANGS`]). It tracks no values:
-//! the lanes of a batched replay do that (`crate::batch`), and a campaign
-//! runs solo only the lanes they demote and every site at `--batch 1`.
+//! a hang or crash certificate ([`ExecHook::PREDICT_HANGS`]). It tracks no
+//! values: the lanes of a batched replay do that (`crate::batch`), and a
+//! campaign runs solo only the lanes they demote and every site at
+//! `--batch 1`.
 //! The slow path is its oracle (`tests/cta_cut.rs`,
 //! `tests/thread_exit_cut.rs`, `tests/hang_prediction.rs`).
 
-use fsp_sim::{ExecHook, MemBlock, RetireEvent, Writeback};
+use fsp_sim::{ExecHook, MemBlock, RetireEvent, SimFault, Writeback};
 
 use crate::cut::{CtaCut, Cut, Word};
 use crate::hook::InjectionHook;
@@ -31,8 +32,9 @@ const EXIT_STORE_CAP: usize = 32;
 #[derive(Debug, Clone)]
 pub(crate) struct SoloHook<'a> {
     inner: InjectionHook,
-    /// The simulator cut the run short on a hang certificate.
-    hang_predicted: bool,
+    /// The fault the simulator proved the run ends in, when it cut the run
+    /// short on a certificate.
+    predicted: Option<SimFault>,
     cut: CtaCut<'a>,
     site: FaultSite,
     /// CTA of the site's thread: the CTA-end rule applies from its end on.
@@ -58,7 +60,7 @@ impl<'a> SoloHook<'a> {
     ) -> Self {
         SoloHook {
             inner: InjectionHook::with_model(site, model),
-            hang_predicted: false,
+            predicted: None,
             cut: rule,
             site,
             site_cta: site.tid / threads_per_cta.max(1),
@@ -77,10 +79,11 @@ impl<'a> SoloHook<'a> {
         self.cut_at
     }
 
-    /// Whether the simulator proved the run a hang and cut it short
-    /// instead of spending the rest of its budget.
-    pub(crate) fn hang_predicted(&self) -> bool {
-        self.hang_predicted
+    /// The fault the simulator proved the run ends in — a hang or an
+    /// out-of-bounds access — when it cut the run short instead of running
+    /// into it.
+    pub(crate) fn predicted(&self) -> Option<SimFault> {
+        self.predicted
     }
 
     /// Logs the global and shared words the faulty thread stores after the
@@ -103,12 +106,12 @@ impl<'a> SoloHook<'a> {
 }
 
 impl ExecHook for SoloHook<'_> {
-    // A predicted hang ends the run exactly where budget exhaustion would
-    // have: the oracle for it is the slow path, which runs the budget out.
+    // A predicted fault ends the run with the fault the full run raises:
+    // the oracle for it is the slow path, which runs every loop out.
     const PREDICT_HANGS: bool = true;
 
-    fn on_hang_predicted(&mut self) {
-        self.hang_predicted = true;
+    fn on_fault_predicted(&mut self, fault: SimFault) {
+        self.predicted = Some(fault);
     }
 
     #[inline]

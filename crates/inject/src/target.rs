@@ -9,7 +9,9 @@ use fsp_sim::{Launch, MemBlock};
 /// same memory image and the same launch every time, or outcome
 /// classification is meaningless.
 pub trait InjectionTarget: Sync {
-    /// A short identifier (e.g. `"gemm_k1"`).
+    /// A short identifier (e.g. `"gemm_k1"`). Per-kernel metrics
+    /// (`fsp_inject_hang_predicted_total`, `fsp_inject_cta_cut_total`, ...)
+    /// are labelled by it.
     fn name(&self) -> &str;
 
     /// The kernel launch (program, grid, parameters). The injector applies

@@ -117,12 +117,14 @@ pub struct Writeback {
 /// corrupted predicate steered control flow.
 pub trait ExecHook {
     /// Whether the thread-serial schedule may cut a run short on an
-    /// *affine* hang certificate (see the spin detector in
-    /// `machine.rs`): a loop whose changing registers are counters
-    /// stepping by constants that provably cannot reach any compare's
-    /// flip point within the remaining budget. Off by default, so
-    /// hook-free runs and the slow injection path keep the exact-recurrence
-    /// rule only and serve as the oracle for the prediction.
+    /// *affine* certificate (see the spin detector in `machine.rs`): a
+    /// loop whose changing registers are counters stepping by constants
+    /// and data that never steers it. The certificate names the fault the
+    /// loop ends in: budget exhaustion, when no compare can flip within the
+    /// remaining budget, or the first out-of-bounds access of a pointer
+    /// the loop walks. Off by default, so hook-free runs and the slow
+    /// injection path keep the exact-recurrence rule only and serve as the
+    /// oracle for the prediction.
     const PREDICT_HANGS: bool = false;
 
     /// Called after an instruction retires (all write-backs committed).
@@ -152,11 +154,12 @@ pub trait ExecHook {
         false
     }
 
-    /// Called when the spin detector proves the run can never finish and
-    /// aborts it with [`crate::SimFault::BudgetExceeded`] before the budget
-    /// is spent.
+    /// Called when the spin detector proves how the run ends and aborts it
+    /// early with that fault: [`crate::SimFault::BudgetExceeded`] before
+    /// the budget is spent, or the [`crate::SimFault::InvalidAccess`] a
+    /// pointer walk would run into.
     #[inline]
-    fn on_hang_predicted(&mut self) {}
+    fn on_fault_predicted(&mut self, _fault: crate::SimFault) {}
 
     /// Called after CTA `cta` (linear launch index) finishes under the
     /// thread-serial schedule, with the global memory it left behind and
@@ -218,8 +221,8 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     }
 
     #[inline]
-    fn on_hang_predicted(&mut self) {
-        (**self).on_hang_predicted();
+    fn on_fault_predicted(&mut self, fault: crate::SimFault) {
+        (**self).on_fault_predicted(fault);
     }
 
     #[inline]

@@ -3,6 +3,7 @@
 use fsp_isa::MemSpace;
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
+use crate::decode::{Dst, Op, RegRead, Src};
 use crate::exec::{step, ExecCtx, SimFault, StepEffect};
 use crate::hook::ExecHook;
 use crate::launch::Launch;
@@ -252,7 +253,6 @@ impl Simulator {
                 match self.mode {
                     ExecMode::ThreadSerial => {
                         if run_cta(
-                            program,
                             &mut ctx,
                             &mut threads[..cta_threads],
                             hook,
@@ -523,7 +523,6 @@ fn resume<H: ExecHook>(
             fill_cta_threads(threads, launch, cx, cy);
         }
         if run_cta(
-            launch.program(),
             &mut ctx,
             &mut threads[..cta_threads],
             hook,
@@ -545,13 +544,12 @@ fn resume<H: ExecHook>(
 ///
 /// Each thread's quantum is watched by a [`SpinDetector`]: under the
 /// serial schedule a quantum has exclusive access to the machine, so a
-/// provably non-terminating thread (state recurs exactly, or — under a
-/// hook with [`ExecHook::PREDICT_HANGS`] — up to counters that cannot
-/// reach their exit compare, with no stores in between) is aborted as
-/// [`SimFault::BudgetExceeded`] without grinding through the remaining
-/// budget.
+/// thread whose end is provable (state recurs exactly, or — under a hook
+/// with [`ExecHook::PREDICT_HANGS`] — a loop of counters and pointer walks
+/// that either cannot reach its exit compare or walks out of bounds first)
+/// is aborted with the [`SimFault`] it would end in, without grinding
+/// through the rest of the loop.
 fn run_cta<H: ExecHook>(
-    program: &fsp_isa::KernelProgram,
     ctx: &mut ExecCtx<'_>,
     threads: &mut [ThreadState],
     hook: &mut H,
@@ -566,6 +564,12 @@ fn run_cta<H: ExecHook>(
         .filter(|t| t.status != ThreadStatus::Done)
         .count();
     let mut spin = SpinDetector::new();
+    let code = LoopCode {
+        ops: ctx.ops,
+        instrs: ctx.instrs,
+        global_bytes: ctx.global.len_bytes(),
+        shared_bytes: ctx.shared.len_bytes(),
+    };
     loop {
         let mut all_done = true;
         for (i, thread) in threads.iter_mut().enumerate() {
@@ -590,7 +594,7 @@ fn run_cta<H: ExecHook>(
                         if spin.lone {
                             // The barrier releases at once: the
                             // thread's path runs on through it.
-                            spin.observe(program, thread, false, *budget, hook)?;
+                            spin.observe(&code, thread, false, *budget, hook)?;
                         }
                         break;
                     }
@@ -602,7 +606,7 @@ fn run_cta<H: ExecHook>(
                         break;
                     }
                 }
-                spin.observe(program, thread, ctx.accesses.has_store(), *budget, hook)?;
+                spin.observe(&code, thread, ctx.accesses.has_store(), *budget, hook)?;
             }
         }
         if all_done {
@@ -675,7 +679,7 @@ const SPIN_ARM_STEPS: u64 = 1 << 10;
 /// iteration; a longer path falls back to the exact-recurrence rule.
 const SPIN_PATH_CAP: usize = 1 << 10;
 
-/// Detects provably infinite loops of a thread that has the machine to
+/// Detects provably ending loops of a thread that has the machine to
 /// itself.
 ///
 /// Under the serial schedule a thread's quantum has exclusive access to
@@ -685,22 +689,24 @@ const SPIN_PATH_CAP: usize = 1 << 10;
 /// ([`ExecHook::PREDICT_HANGS`]) such a *lone* thread's detector persists
 /// across quanta instead of resetting at every `bar.sync`.
 ///
-/// Two rules abort the run with [`SimFault::BudgetExceeded`], classifying
-/// it exactly as budget exhaustion would at a fraction of the cost:
+/// Two rules abort the run with the fault it would end in, at a fraction
+/// of the cost of running into it:
 ///
 /// - **Exact recurrence** (all modes): the complete architectural state
 ///   (`pc`, registers, predicates, offset registers) recurs with *no store
 ///   to any address space* in between. Every load repeats its value, so
-///   execution is periodic and can never end.
+///   execution is periodic and ends in [`SimFault::BudgetExceeded`].
 /// - **Affine recurrence** (affine mode only): `pc`, predicates and offset
-///   registers recur with no store in between, and the recorded path of
-///   that one iteration passes [`affine_certificate`]: the registers that
-///   changed (D) are counters written only by `add r, r, imm` and read only
-///   by that add and by integer `set` compares against a D-free operand,
-///   none of which can flip within the remaining budget. Every other
-///   value, address and branch on the path then repeats iteration 0's, so
-///   the same path (which did not fault) re-runs until the budget is gone.
-///   Exact recurrence is the D = ∅ case.
+///   registers recur, and the recorded path of that one iteration passes
+///   [`affine_certificate`]: the registers that changed (D) are counters
+///   written only by `add r, r, imm` — read only by that add, by integer
+///   `set` compares against a fixed operand and as memory bases — and data
+///   registers, which only feed data arithmetic and store values. Every
+///   branch on the path then repeats iteration 0's until a compare flips,
+///   and every address moves by a fixed stride, so the certificate names
+///   the first out-of-bounds access ([`SimFault::InvalidAccess`]) or
+///   budget exhaustion, whichever comes first. Exact recurrence is the
+///   D = ∅, store-free case.
 ///
 /// `icnt` is deliberately excluded from the comparison: it increments every
 /// retirement but only feeds hook events, never execution semantics, and a
@@ -779,10 +785,10 @@ impl SpinDetector {
     ///
     /// `stored` is whether the step wrote memory; over-reporting is safe
     /// (it only delays detection), under-reporting would be unsound.
-    #[inline]
+    #[inline(always)]
     fn observe<H: ExecHook>(
         &mut self,
-        program: &fsp_isa::KernelProgram,
+        code: &LoopCode<'_>,
         thread: &ThreadState,
         stored: bool,
         budget: u64,
@@ -795,9 +801,11 @@ impl SpinDetector {
         if self.steps >= self.next_snap {
             self.next_snap *= 2;
             self.snapshot(thread, H::PREDICT_HANGS);
-        } else if self.clean && self.revisit(program, thread, budget) {
-            hook.on_hang_predicted();
-            return Err(SimFault::BudgetExceeded);
+        } else if self.clean || self.recording {
+            return self.revisit(code, thread, budget).map_or(Ok(()), |fault| {
+                hook.on_fault_predicted(fault);
+                Err(fault)
+            });
         }
         Ok(())
     }
@@ -822,14 +830,15 @@ impl SpinDetector {
         }
     }
 
-    /// One clean step after the snapshot: whether the thread provably
-    /// never finishes.
+    /// One step after the snapshot: the fault the thread provably ends
+    /// in, if it is proved.
+    #[inline(never)]
     fn revisit(
         &mut self,
-        program: &fsp_isa::KernelProgram,
+        code: &LoopCode<'_>,
         thread: &ThreadState,
         budget: u64,
-    ) -> bool {
+    ) -> Option<SimFault> {
         if self.recording {
             if self.path.len() < SPIN_PATH_CAP {
                 self.path.push((thread.pc, thread.icnt));
@@ -837,118 +846,298 @@ impl SpinDetector {
                 self.recording = false;
             }
         }
-        let Some(s) = self.snap.as_deref() else {
-            return false;
-        };
+        let s = self.snap.as_deref()?;
         if s.pc != thread.pc || s.ofs != thread.ofs || s.preds != thread.preds {
-            return false;
+            return None;
         }
-        if s.gprs[self.hint] == thread.gprs[self.hint] {
+        if self.clean && s.gprs[self.hint] == thread.gprs[self.hint] {
             match (0..s.gprs.len()).find(|&i| s.gprs[i] != thread.gprs[i]) {
                 Some(i) => self.hint = i,
-                None => return true,
+                None => return Some(SimFault::BudgetExceeded),
             }
         }
         if self.recording {
             self.recording = false;
-            return affine_certificate(program, s, thread, &self.path, budget);
+            return affine_certificate(code, s, thread, &self.path, budget);
         }
-        false
+        None
     }
 }
 
-/// Whether the recorded iteration `path` from snapshot `s` to `thread`'s
-/// current state (same `pc`, predicates and offset registers; no store on
-/// the way) certifies that the loop re-runs that path until `budget` more
-/// instructions are spent.
+/// What the certificate reads of the running CTA: its program, decoded and
+/// as written, and the size of each address space (fixed for the CTA).
+/// Kept apart from [`ExecCtx`]: a reference to the context escaping into
+/// the certificate made the step loop 3–6% slower on fault-free runs.
+struct LoopCode<'a> {
+    ops: &'a [Op],
+    instrs: &'a [fsp_isa::Instruction],
+    global_bytes: usize,
+    shared_bytes: usize,
+}
+
+/// A memory access on the recorded path whose base is a counter: the
+/// first iteration that takes it out of its space's bounds, and where.
+struct Exit {
+    /// Iteration, counting the recorded one as 0.
+    k: u64,
+    /// Index of its step in the recorded path.
+    at: usize,
+    space: MemSpace,
+    addr: u32,
+}
+
+/// What the recorded iteration `path` from snapshot `s` to `thread`'s
+/// current state (same `pc`, predicates and offset registers) proves about
+/// the rest of the thread's run, with `budget` instructions left: the
+/// fault it ends in, or `None` if the certificate is refused.
 ///
-/// Each compare reading a changed register is checked for all iterations
-/// `k ≤ ⌈budget / path length⌉ + 1`, under the compare's own wrapping
-/// `u32` or `s32` order, so the certificate is exact, never heuristic.
+/// The registers that changed over the iteration (D) must each be a
+/// *counter*, written only by `add r, r, imm` and read only by that add,
+/// by integer `set` compares against a fixed operand and as a memory base,
+/// or a *data* register. A data register is written from memory the loop
+/// walks or stores to, from a counter's value or from other data, and is
+/// read only by data arithmetic and as a store value — never by a compare,
+/// a guard, an address or a counter. Branches and addresses then depend on
+/// counters and invariants alone: each compare is checked for every
+/// iteration up to the verdict's, and each counter-based access gives the
+/// first iteration at which its address leaves its space. The run ends at
+/// the earliest such access if the budget reaches it
+/// ([`SimFault::InvalidAccess`]) and runs out of budget otherwise. Both
+/// are exact, never heuristic: the slow path runs every such loop out.
 fn affine_certificate(
-    program: &fsp_isa::KernelProgram,
+    code: &LoopCode<'_>,
     s: &SpinSnapshot,
     thread: &ThreadState,
     path: &[(usize, u32)],
     budget: u64,
-) -> bool {
-    use fsp_isa::{Dest, Opcode, Operand, Register};
-    let mut d = 0u128;
-    for (i, (a, b)) in s.gprs.iter().zip(&thread.gprs).enumerate() {
-        if a != b {
-            d |= 1 << i;
-        }
-    }
+) -> Option<SimFault> {
+    use fsp_isa::{Opcode, Operand, Register};
     let per_iteration = u64::from(thread.icnt.wrapping_sub(s.icnt));
     if per_iteration == 0 {
-        return false;
+        return None;
     }
     let k_max = budget.div_ceil(per_iteration) + 1;
-    let in_d = |r: Register| matches!(r, Register::Gpr(n) if d >> n & 1 == 1);
-    let reads_d = |op: &Operand| match op {
-        Operand::Reg { reg, .. } => in_d(*reg),
-        Operand::Imm(_) => false,
-        Operand::Mem(m) => m.base.is_some_and(in_d),
+    let mut changed = 0u128;
+    for (i, (a, b)) in s.gprs.iter().zip(&thread.gprs).enumerate() {
+        if a != b {
+            changed |= 1 << i;
+        }
+    }
+    // The retired steps of the iteration, as (path index, pc): a step
+    // whose guard failed reads and writes nothing.
+    let steps = || {
+        path.windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[1].1 != w[0].1)
+            .map(|(j, w)| (j, w[0].0))
     };
-    // Counter values as iteration 0 reaches each instruction, and the
-    // registers written so far in it (whose mid-path values are unknown).
-    let mut cur = s.gprs;
-    let mut written = 0u128;
-    for w in path.windows(2) {
-        let (pc, icnt) = w[0];
-        if w[1].1 == icnt {
-            // Guard failed: nothing read, nothing written.
+    let (mut stepped, mut other, mut stores) = (0u128, 0u128, false);
+    for (_, pc) in steps() {
+        if let Some((r, _)) = counter_step(&code.instrs[pc]) {
+            stepped |= 1 << r;
             continue;
         }
-        let instr = program.instr(pc);
-        if let Some((r, step)) = counter_step(instr) {
-            if d >> r & 1 == 1 {
-                cur[r] = cur[r].wrapping_add(step);
-                continue;
-            }
-        }
-        if instr.dests().any(|dst| match dst {
-            Dest::Reg(r) => in_d(*r),
-            Dest::Mem(m) => m.base.is_some_and(in_d),
-        }) {
-            return false;
-        }
-        let mut counter_compare = None;
-        if let (Opcode::Set, Some(a), Some(b)) = (instr.opcode, &instr.src[0], &instr.src[1]) {
-            let counter = |op: &Operand| match *op {
-                Operand::Reg {
+        for dst in &code.ops[pc].dsts {
+            match *dst {
+                Dst::Reg {
                     reg: Register::Gpr(n),
-                    half: None,
-                    neg: false,
-                } if d >> n & 1 == 1 => Some(usize::from(n)),
-                _ => None,
-            };
-            counter_compare = match (counter(a), counter(b)) {
-                (Some(r), None) if !reads_d(b) => Some((r, b, true)),
-                (None, Some(r)) if !reads_d(a) => Some((r, a, false)),
-                _ => None,
-            };
-        }
-        match counter_compare {
-            Some((r, fixed, counter_first)) => {
-                let Some(c) = fixed_value(fixed, instr.src_ty, s, thread, written) else {
-                    return false;
-                };
-                let step = thread.gprs[r].wrapping_sub(s.gprs[r]);
-                if !compare_holds(instr, counter_first, cur[r], c, step, k_max) {
-                    return false;
-                }
-            }
-            None if instr.sources().any(reads_d) => return false,
-            None => {}
-        }
-        for dst in instr.dests() {
-            if let Dest::Reg(Register::Gpr(n)) = dst {
-                written |= 1 << n;
+                    ..
+                } => other |= 1 << n,
+                Dst::Mem(_) => stores = true,
+                _ => {}
             }
         }
     }
-    (0..128).all(|i| d >> i & 1 == 0 || cur[i] == thread.gprs[i])
+    let counters = changed & stepped & !other;
+    let is_step =
+        |pc: usize| counter_step(&code.instrs[pc]).is_some_and(|(r, _)| counters >> r & 1 == 1);
+    // Data registers, to a fixpoint: a later write can make an earlier
+    // read data.
+    let mut data = 0u128;
+    loop {
+        let before = data;
+        for (_, pc) in steps() {
+            if code.instrs[pc].opcode != Opcode::Set
+                && !is_step(pc)
+                && reads_varying(&code.ops[pc], counters | data, stores)
+            {
+                data |= gpr_dests(&code.ops[pc]);
+            }
+        }
+        if data == before {
+            break;
+        }
+    }
+    if changed & !(counters | data) != 0 {
+        return None;
+    }
+    let varying = counters | data;
+    // Counter values as iteration 0 reaches each step, and the registers
+    // written so far in it (whose mid-path values are not the snapshot's).
+    let mut cur = s.gprs;
+    let mut written = 0u128;
+    let mut first: Option<Exit> = None;
+    let mut compares = Vec::new();
+    for (j, pc) in steps() {
+        let (instr, op) = (&code.instrs[pc], &code.ops[pc]);
+        if is_step(pc) {
+            let (r, step) = counter_step(instr).expect("a counter step");
+            cur[r] = cur[r].wrapping_add(step);
+            continue;
+        }
+        // Memory accesses, in the order the step makes them.
+        let loads = op.srcs[..usize::from(op.nsrc)]
+            .iter()
+            .filter_map(|src| match *src {
+                Src::Mem(a) => Some(a),
+                _ => None,
+            });
+        let stored = op.dsts.iter().filter_map(|dst| match *dst {
+            Dst::Mem(a) => Some(a),
+            _ => None,
+        });
+        for a in loads.chain(stored) {
+            let RegRead::Gpr(n) = a.base else {
+                continue;
+            };
+            if data >> n & 1 == 1 {
+                return None;
+            }
+            if counters >> n & 1 == 0 {
+                continue;
+            }
+            let n = usize::from(n);
+            let stride = thread.gprs[n].wrapping_sub(s.gprs[n]);
+            let bound = match a.space {
+                MemSpace::Global => code.global_bytes,
+                MemSpace::Shared => code.shared_bytes,
+                MemSpace::Local => crate::thread::LOCAL_WORDS * 4,
+            };
+            let (k, addr) = leaves_bounds(cur[n].wrapping_add(a.offset), stride, bound as u64)?;
+            if first.as_ref().is_none_or(|e| k < e.k) {
+                first = Some(Exit {
+                    k,
+                    at: j,
+                    space: a.space,
+                    addr,
+                });
+            }
+        }
+        if reads_varying(op, varying, stores) {
+            if instr.opcode == Opcode::Set {
+                // Only a counter against a fixed operand.
+                let counter = |o: &Operand| match *o {
+                    Operand::Reg {
+                        reg: Register::Gpr(n),
+                        half: None,
+                        neg: false,
+                    } if counters >> n & 1 == 1 => Some(usize::from(n)),
+                    _ => None,
+                };
+                let (Some(a), Some(b)) = (&instr.src[0], &instr.src[1]) else {
+                    return None;
+                };
+                let (r, fixed, counter_first) = match (counter(a), counter(b)) {
+                    (Some(r), None) => (r, b, true),
+                    (None, Some(r)) => (r, a, false),
+                    _ => return None,
+                };
+                let c = fixed_value(fixed, instr.src_ty, s, thread, written | varying)?;
+                let step = thread.gprs[r].wrapping_sub(s.gprs[r]);
+                compares.push((instr, counter_first, cur[r], c, step));
+            } else if op
+                .dsts
+                .iter()
+                .any(|d| matches!(d, Dst::Reg { reg, .. } if !matches!(reg, Register::Gpr(_))))
+            {
+                // Data may not reach a predicate or an offset register.
+                return None;
+            }
+        }
+        written |= gpr_dests(op);
+    }
+    let fault = first.filter(|e| e.k <= k_max);
+    let horizon = fault.as_ref().map_or(k_max, |e| e.k);
+    if !compares
+        .iter()
+        .all(|&(instr, first, v0, c, step)| compare_holds(instr, first, v0, c, step, horizon))
+    {
+        return None;
+    }
+    Some(match fault {
+        // Iteration k's step `at` retires after (k - 1) whole iterations
+        // and the steps before it in its own.
+        Some(e)
+            if budget
+                > (e.k - 1) * per_iteration + u64::from(path[e.at].1.wrapping_sub(path[0].1)) =>
+        {
+            SimFault::InvalidAccess {
+                space: e.space,
+                addr: e.addr,
+            }
+        }
+        _ => SimFault::BudgetExceeded,
+    })
+}
+
+/// Whether `op` reads a register of `varying` as a value, or loads from
+/// memory that varies across iterations: through a `varying` base, or any
+/// memory at all when the loop `stores`.
+fn reads_varying(op: &Op, varying: u128, stores: bool) -> bool {
+    let hit = |n: u8| varying >> n & 1 == 1;
+    op.srcs[..usize::from(op.nsrc)]
+        .iter()
+        .any(|src| match *src {
+            Src::Gpr(n)
+            | Src::Reg {
+                reg: RegRead::Gpr(n),
+                ..
+            } => hit(n),
+            Src::Mem(a) => stores || matches!(a.base, RegRead::Gpr(n) if hit(n)),
+            _ => false,
+        })
+}
+
+/// The general-purpose registers `op` writes.
+fn gpr_dests(op: &Op) -> u128 {
+    op.dsts.iter().fold(0, |acc, dst| match *dst {
+        Dst::Reg {
+            reg: fsp_isa::Register::Gpr(n),
+            ..
+        } => acc | 1 << n,
+        _ => acc,
+    })
+}
+
+/// Where the pointer walk `a0 + k·stride` (wrapping, `stride ≠ 0`) first
+/// leaves a space of `len` bytes that holds `a0`: the least such `k ≥ 1`
+/// and the address there. Refused for strides that are not whole words,
+/// whose walks fault as misaligned, and for strides longer than the
+/// out-of-bounds arc, which could jump it.
+fn leaves_bounds(a0: u32, stride: u32, len: u64) -> Option<(u64, u32)> {
+    if !stride.is_multiple_of(4)
+        || u64::from(a0) >= len
+        || u64::from((stride as i32).unsigned_abs()) > CIRCLE - len
+    {
+        return None;
+    }
+    let k = arc_steps(a0, stride, 0, len);
+    Some((k, a0.wrapping_add(stride.wrapping_mul(k as u32))))
+}
+
+/// The 2³² values of a `u32`, as a circle.
+const CIRCLE: u64 = 1 << 32;
+
+/// The least `k ≥ 1` at which `u + k·step` (wrapping, `step ≠ 0` read as
+/// signed) passes the end of the arc `[start, start + len)` that holds
+/// `u`, in its direction of travel. Before that step the sequence stays on
+/// the arc; at it, the sequence lands off the arc unless the stride is
+/// longer than the rest of the circle.
+fn arc_steps(u: u32, step: u32, start: u32, len: u64) -> u64 {
+    let off = u64::from(u.wrapping_sub(start));
+    let stride = i64::from(step as i32);
+    let distance = if stride > 0 { len - 1 - off } else { off };
+    distance / stride.unsigned_abs() + 1
 }
 
 /// `add r, r, imm` on a 32-bit integer register: the register and its
@@ -979,15 +1168,16 @@ fn counter_step(instr: &fsp_isa::Instruction) -> Option<(usize, u32)> {
     (reg == Register::Gpr(n)).then_some((usize::from(n), imm))
 }
 
-/// The value of a compare's D-free operand, when it is known from the
+/// The value of a compare's fixed operand, when it is known from the
 /// snapshot alone: an immediate, a special register, or a general-purpose
-/// register not yet written in the iteration.
+/// register outside `unknown` (registers written so far in the iteration,
+/// counters and data).
 fn fixed_value(
     op: &fsp_isa::Operand,
     ty: fsp_isa::ScalarType,
     s: &SpinSnapshot,
     thread: &ThreadState,
-    written: u128,
+    unknown: u128,
 ) -> Option<u32> {
     use fsp_isa::{Operand, Register};
     match *op {
@@ -995,7 +1185,7 @@ fn fixed_value(
         Operand::Reg { reg, half, neg } => {
             let raw = match reg {
                 Register::Gpr(124) => 0,
-                Register::Gpr(n) if written >> n & 1 == 0 => s.gprs[usize::from(n)],
+                Register::Gpr(n) if unknown >> n & 1 == 0 => s.gprs[usize::from(n)],
                 Register::Special(sp) => thread.coords.special(sp),
                 _ => return None,
             };
@@ -1026,7 +1216,6 @@ fn compare_holds(
     k_max: u64,
 ) -> bool {
     use fsp_isa::{CmpOp, ScalarType};
-    const CIRCLE: u64 = 1 << 32;
     let signed = match instr.src_ty {
         ScalarType::U32 | ScalarType::B32 => false,
         ScalarType::S32 => true,
@@ -1056,23 +1245,17 @@ fn compare_holds(
     if step == 0 || len == 0 || len == CIRCLE {
         return true;
     }
-    let off = u64::from(u.wrapping_sub(start));
-    // The arc holding the counter, and the distance from it to that arc's
-    // end in the direction of travel.
-    let (home_start, home_len) = if off < len {
+    // The arc holding the counter.
+    let (home_start, home_len) = if u64::from(u.wrapping_sub(start)) < len {
         (start, len)
     } else {
         (start.wrapping_add(len as u32), CIRCLE - len)
     };
-    let off = u64::from(u.wrapping_sub(home_start));
-    let stride = i64::from(step as i32);
-    let distance = if stride > 0 { home_len - 1 - off } else { off };
-    let first_exit = distance / stride.unsigned_abs() + 1;
-    if first_exit > k_max {
+    if arc_steps(u, step, home_start, home_len) > k_max {
         return true;
     }
     let away_len = CIRCLE - home_len;
-    if stride.unsigned_abs() <= away_len {
+    if u64::from((step as i32).unsigned_abs()) <= away_len {
         return false;
     }
     if away_len != 1 {
@@ -1186,11 +1369,12 @@ mod tests {
         assert!(stats.instructions > 100_000);
     }
 
-    /// A hook that opts into hang prediction and counts what happened.
+    /// A hook that opts into fault prediction and counts what happened.
     #[derive(Default)]
     struct PredictingHook {
         retired: u64,
         predicted: u32,
+        fault: Option<SimFault>,
     }
 
     impl ExecHook for PredictingHook {
@@ -1200,8 +1384,9 @@ mod tests {
             self.retired += 1;
         }
 
-        fn on_hang_predicted(&mut self) {
+        fn on_fault_predicted(&mut self, fault: SimFault) {
             self.predicted += 1;
+            self.fault = Some(fault);
         }
     }
 
@@ -1341,9 +1526,10 @@ mod tests {
     }
 
     #[test]
-    fn counter_tainted_load_address_is_not_predicted() {
+    fn counter_walked_load_address_predicts_the_crash() {
         // The counter walks a pointer off the end of global memory: the
-        // loop must run until the load faults.
+        // run ends in the load's fault, which the certificate names long
+        // before the walk gets there.
         let p = assemble(
             "t",
             r#"
@@ -1371,7 +1557,9 @@ mod tests {
             ),
             "{err:?}"
         );
-        assert_eq!(hook.predicted, 0);
+        assert_eq!(hook.predicted, 1);
+        assert_eq!(hook.fault, Some(err));
+        assert!(hook.retired < 3 * 8192 / 2, "retired {}", hook.retired);
     }
 
     #[test]

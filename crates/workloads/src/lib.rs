@@ -179,8 +179,11 @@ impl Workload {
 }
 
 impl InjectionTarget for Workload {
+    /// The registry id: unlike the program name or the paper's kernel id,
+    /// it tells every registry kernel apart (gaussian_k1 and gaussian_k125
+    /// both assemble `Fan1`), so per-kernel metrics are labelled by it.
     fn name(&self) -> &str {
-        self.id
+        self.registry_id()
     }
 
     fn launch(&self) -> Launch {

@@ -1,11 +1,12 @@
-//! Differential oracle for hang prediction.
+//! Differential oracle for fault prediction.
 //!
 //! On the fast path the simulator cuts a run short once a one-iteration
-//! affine certificate proves that the loop a lone thread circles cannot
-//! reach its exit within the remaining instruction budget (DESIGN.md §10).
-//! The slow path never applies that rule: it runs every such hang out to
-//! budget exhaustion. A prediction is only allowed where it is exact, so
-//! the two paths must agree byte for byte on every outcome.
+//! affine certificate proves how the loop a thread circles ends: it cannot
+//! reach its exit within the remaining instruction budget (a hang), or a
+//! pointer it walks leaves memory first (a crash) (DESIGN.md §10). The slow
+//! path never applies that rule: it runs every such loop out, to budget
+//! exhaustion or to the faulting access. A prediction is only allowed where
+//! it is exact, so the two paths must agree byte for byte on every outcome.
 
 use std::sync::Arc;
 
@@ -22,10 +23,16 @@ use rand::SeedableRng;
 /// `tloop` or lud_k46's `iloop` leaves one thread circling alone.
 const HANG_BOUND: [&str; 2] = ["pathfinder", "lud_k46"];
 
+/// Kernels of the pruned benchmark mix whose flipped loop counters walk
+/// pointers off the end of memory.
+const CRASH_BOUND: [&str; 2] = ["lud_k44", "kmeans_k2"];
+
 /// Campaign threads per run (the reference host has 2 cores).
 const WORKERS: usize = 2;
 
 const HANG: Outcome = Outcome::Other(OutcomeKind::Hang);
+
+const CRASH: Outcome = Outcome::Other(OutcomeKind::Crash);
 
 /// Two threads count a register down from 64 through a barrier per
 /// iteration and store it (always 0) on exit. A flip into the counter's
@@ -166,5 +173,284 @@ fn sampled_sites_on_all_kernels_and_models_match_the_slow_path() {
             );
             assert_eq!(f.profile, s.profile, "{id}: profiles diverged");
         }
+    }
+}
+
+/// A one-CTA synthetic kernel over `words` global words, of which the
+/// first `output` are compared.
+struct Synthetic {
+    program: Arc<KernelProgram>,
+    threads: u32,
+    shared_bytes: u32,
+    words: usize,
+    output: (u32, usize),
+}
+
+impl Synthetic {
+    fn new(name: &str, source: &str, threads: u32, words: usize, output: (u32, usize)) -> Self {
+        Synthetic {
+            program: Arc::new(assemble(name, source).expect("assembles")),
+            threads,
+            shared_bytes: 16 * 1024,
+            words,
+            output,
+        }
+    }
+
+    fn with_shared_bytes(mut self, bytes: u32) -> Self {
+        self.shared_bytes = bytes;
+        self
+    }
+
+    /// Every site of every thread under every fault model, fast against
+    /// slow; returns the single-bit-flip outcomes and the crashes and hangs
+    /// the fast path predicted.
+    fn check_exhaustively(&self) -> (Vec<Outcome>, u64, u64) {
+        let fast = Experiment::prepare(self).expect("fault-free run");
+        let slow = Experiment::prepare(self)
+            .expect("fault-free run")
+            .with_fast_path(false);
+        let space = fast.site_space(0..self.threads);
+        let sites: Vec<WeightedSite> = (0..space.total_sites())
+            .map(|i| WeightedSite::from(space.site_at(i)))
+            .collect();
+        let before = (fast.crashes_predicted(), fast.hangs_predicted());
+        let mut flips = Vec::new();
+        for model in FaultModel::ALL {
+            let f = fast.run_campaign_with(&sites, model, WORKERS);
+            let s = slow.run_campaign_with(&sites, model, WORKERS);
+            assert_eq!(
+                f.outcomes,
+                s.outcomes,
+                "{}: outcomes diverged under {model:?}",
+                self.name()
+            );
+            if model == FaultModel::SingleBitFlip {
+                flips = s.outcomes;
+            }
+        }
+        (
+            flips,
+            fast.crashes_predicted() - before.0,
+            fast.hangs_predicted() - before.1,
+        )
+    }
+}
+
+impl InjectionTarget for Synthetic {
+    fn name(&self) -> &str {
+        self.program.name()
+    }
+
+    fn launch(&self) -> Launch {
+        Launch::new(Arc::clone(&self.program))
+            .block(self.threads, 1, 1)
+            .shared_bytes(self.shared_bytes)
+            .param(0)
+    }
+
+    fn init_memory(&self) -> MemBlock {
+        let mut memory = MemBlock::with_words(self.words);
+        for i in 0..self.words.min(256) {
+            memory
+                .store(4 * i as u32, (i as u32).wrapping_mul(0x9E37_79B9) | 1)
+                .expect("in bounds");
+        }
+        memory
+    }
+
+    fn output_region(&self) -> (u32, usize) {
+        self.output
+    }
+}
+
+fn count(outcomes: &[Outcome], kind: Outcome) -> usize {
+    outcomes.iter().filter(|&&o| o == kind).count()
+}
+
+/// lud's perimeter shape: each of four threads copies its global row into
+/// shared memory through two walking pointers, the CTA meets at a
+/// barrier, and each thread writes another thread's row back. A flipped
+/// row counter walks both pointers on until one leaves its space, in the
+/// middle of a barrier phase.
+#[test]
+fn load_to_shared_store_walk_predicts_its_crashes() {
+    let walk = Synthetic::new(
+        "shared_walk",
+        r#"
+        cvt.u32.u16 $r1, %tid.x
+        shl.u32 $r2, $r1, 0x5
+        add.u32 $r3, $r2, 0x40
+        add.u32 $r6, $r2, s[0x0010]
+        mov.u32 $r8, 0x8
+        load:
+        ld.global.u32 $r9, [$r6]
+        mov.u32 s[$r3], $r9
+        add.u32 $r6, $r6, 0x4
+        add.u32 $r3, $r3, 0x4
+        add.u32 $r8, $r8, -1
+        set.ne.u32.u32 $p0/$o127, $r8, $r124
+        @$p0.ne bra load
+        bar.sync 0x0
+        mov.u32 $r10, 0x3
+        sub.u32 $r10, $r10, $r1
+        shl.u32 $r10, $r10, 0x5
+        add.u32 $r10, $r10, 0x40
+        add.u32 $r11, $r2, 0x80
+        mov.u32 $r12, 0x8
+        store:
+        mov.u32 $r13, s[$r10]
+        st.global.u32 [$r11], $r13
+        add.u32 $r10, $r10, 0x4
+        add.u32 $r11, $r11, 0x4
+        add.u32 $r12, $r12, -1
+        set.ne.u32.u32 $p0/$o127, $r12, $r124
+        @$p0.ne bra store
+        exit
+        "#,
+        4,
+        4096,
+        (0x80, 32),
+    )
+    .with_shared_bytes(4096);
+    let (outcomes, crashes, _) = walk.check_exhaustively();
+    assert!(
+        count(&outcomes, CRASH) > 100,
+        "{} crashes",
+        count(&outcomes, CRASH)
+    );
+    assert!(crashes > 0, "no crash was predicted");
+}
+
+/// A flipped counter in a load-only reduction over a memory larger than
+/// the budget can walk: the run is a hang, predicted long before the
+/// budget is spent.
+#[test]
+fn in_bounds_load_walk_predicts_its_hangs() {
+    let walk = Synthetic::new(
+        "load_walk",
+        r#"
+        mov.u32 $r2, s[0x0010]
+        mov.u32 $r4, 0x8
+        mov.u32 $r6, $r124
+        loop:
+        ld.global.u32 $r5, [$r2]
+        add.u32 $r6, $r6, $r5
+        add.u32 $r2, $r2, 0x4
+        add.u32 $r4, $r4, -1
+        set.ne.u32.u32 $p0/$o127, $r4, $r124
+        @$p0.ne bra loop
+        st.global.u32 [$r124], $r6
+        exit
+        "#,
+        1,
+        1 << 14,
+        (0, 1),
+    );
+    let (outcomes, _, hangs) = walk.check_exhaustively();
+    assert!(
+        count(&outcomes, HANG) > 10,
+        "{} hangs",
+        count(&outcomes, HANG)
+    );
+    assert!(hangs > 0, "no hang was predicted");
+}
+
+/// A flipped counter walks a load off the end of 3 999 words. With four
+/// instructions before the loop the faulting load is exactly the last
+/// step the 20 000-instruction budget allows: every such run crashes.
+/// One more instruction before the loop pushes it one step past the
+/// budget: exactly those runs hang instead.
+#[test]
+fn walk_faulting_on_the_last_budgeted_step_is_exact() {
+    let mut runs = Vec::new();
+    for prelude in ["", "mov.u32 $r7, $r124"] {
+        let walk = Synthetic::new(
+            "edge_walk",
+            &format!(
+                r#"
+                mov.u32 $r2, $r124
+                mov.u32 $r4, 0x8
+                mov.u32 $r6, $r124
+                mov.u32 $r8, $r124
+                {prelude}
+                loop:
+                ld.global.u32 $r5, [$r2]
+                add.u32 $r2, $r2, 0x4
+                add.u32 $r4, $r4, -1
+                set.ne.u32.u32 $p0/$o127, $r4, $r124
+                @$p0.ne bra loop
+                st.global.u32 [$r124], $r5
+                exit
+                "#
+            ),
+            1,
+            3999,
+            (0, 1),
+        );
+        let fast = Experiment::prepare(&walk).expect("fault-free run");
+        let budget = fast.fault_free_instructions() * 4;
+        assert!(budget < 20_000, "the budget is the 20 000 floor");
+        let (outcomes, crashes, hangs) = walk.check_exhaustively();
+        runs.push((
+            count(&outcomes, CRASH),
+            count(&outcomes, HANG),
+            crashes,
+            hangs,
+        ));
+    }
+    let [(edge_crashes, edge_hangs, edge_predicted, _), (crashes, hangs, _, predicted)] = runs[..]
+    else {
+        unreachable!("two preludes");
+    };
+    // Flips of the counter's bits 12 and up outlast the walk, and so do
+    // the sign flips of each later value of the counter.
+    assert_eq!(edge_hangs, 0, "every long walk faults on the last step");
+    assert!(hangs >= 20, "{hangs} walks run one step past the budget");
+    assert_eq!(crashes + hangs, edge_crashes, "only the long walks changed");
+    assert!(
+        edge_predicted > 0,
+        "no crash on the last step was predicted"
+    );
+    assert!(
+        predicted > 0,
+        "no hang one step short of the crash was predicted"
+    );
+}
+
+/// Runs of the kernel `kernel` the fast path predicted to crash, read from
+/// the process-wide registry, where they are labelled by registry id.
+fn crashes_labelled(kernel: &str) -> u64 {
+    let prefix = format!("fsp_inject_crash_predicted_total{{kernel=\"{kernel}\"}} ");
+    fsp_obs::registry()
+        .render()
+        .lines()
+        .filter_map(|line| line.strip_prefix(&prefix)?.parse::<u64>().ok())
+        .sum()
+}
+
+/// The paper-default pruned plans of lud_k44 and kmeans_k2 classify
+/// identically with and without prediction, crash prediction engages on
+/// both, and its series is labelled by registry id.
+#[test]
+fn pruned_plans_of_crash_bound_kernels_match_the_slow_path() {
+    for id in CRASH_BOUND {
+        let w = workloads::by_id(id, Scale::Eval).expect("registry kernel");
+        let fast = Experiment::prepare(&w).expect("fault-free run");
+        let slow = Experiment::prepare(&w)
+            .expect("fault-free run")
+            .with_fast_path(false);
+        let plan = PruningPipeline::new(PruningConfig::default())
+            .plan_for(&fast)
+            .expect("planning a registry kernel");
+        let (before, labelled) = (fast.crashes_predicted(), crashes_labelled(id));
+        let f = fast.run_campaign_with(&plan.sites, FaultModel::SingleBitFlip, WORKERS);
+        let predicted = fast.crashes_predicted() - before;
+        let s = slow.run_campaign_with(&plan.sites, FaultModel::SingleBitFlip, WORKERS);
+        assert_eq!(f.outcomes, s.outcomes, "{id}: fast/slow outcomes diverged");
+        assert_eq!(f.profile, s.profile, "{id}: profiles diverged");
+        let crashes = count(&s.outcomes, CRASH);
+        assert!(predicted > 0, "{id}: no crash of {crashes} was predicted");
+        assert_eq!(crashes_labelled(id) - labelled, predicted, "{id}");
     }
 }

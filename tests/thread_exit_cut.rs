@@ -395,7 +395,7 @@ fn thread_exit_cuts_engage_on_gemm_2dconv_and_kmeans() {
         let plan = PruningPipeline::new(PruningConfig::default())
             .plan_for(&fast)
             .expect("planning a registry kernel");
-        let name = w.launch().program().name().to_string();
+        let name = id.to_string();
         if matches!(id, "gemm" | "mvt") {
             check(id, &mut fast, &slow, &plan.sites, FaultModel::SingleBitFlip);
         }
