@@ -53,7 +53,7 @@ impl Default for Options {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             quick: false,
             seed: 0xF5EED,
-            batch: fsp_inject::DEFAULT_BATCH,
+            batch: fsp_inject::MAX_BATCH,
         }
     }
 }

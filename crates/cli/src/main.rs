@@ -73,7 +73,7 @@ OPTIONS:
     --seed S       RNG seed (default 0xF5EED)
     --batch N      For `bench-inject`: lane budget for batched multi-lane
                    injection — sites sharing a CTA ride one golden replay
-                   as shadow lanes (default 16, max 64; 1 = solo: every
+                   as shadow lanes (default and max 64; 1 = solo: every
                    site runs as one fault run plus the replay cut, with no
                    lanes; campaigns elsewhere always use the default budget)
     --out PATH     For `reproduce`: also write the artifact text to PATH

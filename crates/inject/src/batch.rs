@@ -71,14 +71,10 @@ use crate::cut::{At, CtaCut, Cut, Word};
 use crate::model::FaultModel;
 use crate::site::FaultSite;
 
-/// Hard lane-count ceiling: lane sets are screened through `u64` bitmasks.
+/// Lane-count ceiling, and the default lane budget of a batched replay:
+/// lane sets are screened through `u64` bitmasks, and a replay carries as
+/// many lanes as they hold.
 pub const MAX_BATCH: usize = 64;
-
-/// Default lanes per batched replay. Chosen with the workload suite:
-/// occupancy (lanes that stay tracked) falls off past a few dozen lanes
-/// because groups sharing a (checkpoint, CTA) are rarely larger, while the
-/// per-event screening cost keeps growing with divergent-set size.
-pub const DEFAULT_BATCH: usize = 16;
 
 /// Per-lane cap on total divergence entries (registers + memory words).
 /// Sets this wide almost never converge; scanning them per event costs more

@@ -28,9 +28,7 @@ use fsp_sim::{
 };
 use fsp_stats::{Outcome, OutcomeKind, ResilienceProfile};
 
-use crate::batch::{
-    BatchInjectionHook, DemoteCause, LaneEnd, RetireCause, DEFAULT_BATCH, MAX_BATCH,
-};
+use crate::batch::{BatchInjectionHook, DemoteCause, LaneEnd, RetireCause, MAX_BATCH};
 use crate::cut::{CtaCut, CutMetrics};
 use crate::hook::InjectionHook;
 use crate::site::{SiteSpace, WeightedSite};
@@ -470,7 +468,8 @@ impl PreparedRun {
 
 impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// Prepares `target` afresh ([`PreparedRun::prepare`]) and returns a
-    /// view of it with the fast path on and the default batch size.
+    /// view of it with the fast path on and the full lane budget
+    /// ([`MAX_BATCH`]).
     ///
     /// # Errors
     ///
@@ -484,7 +483,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     }
 
     /// A view of an already prepared run, with the fast path on and the
-    /// default batch size. `run` must come from [`PreparedRun::prepare`] of
+    /// full lane budget. `run` must come from [`PreparedRun::prepare`] of
     /// `target` or of a target with the same launch, memory image and
     /// output region; [`crate::ExperimentCache`] keys its entries so.
     #[must_use]
@@ -493,7 +492,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             target,
             run,
             fast_path: true,
-            batch: DEFAULT_BATCH,
+            batch: MAX_BATCH,
         }
     }
 
@@ -584,13 +583,13 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     }
 
     /// Sets the number of shadow lanes per batched replay (clamped to
-    /// `1..=`[`MAX_BATCH`]). Campaign sites that resume from the same
-    /// golden checkpoint and trigger in the same CTA ride one shared
-    /// fault-free replay, up to this many at a time; a site with no such
-    /// neighbour rides a replay of its own. `1` disables batching: every
-    /// site runs solo, as one faulty run stopped at the replay cut, with
-    /// no early-convergence tracking. Outcomes are byte-identical across
-    /// batch sizes — batching only changes how the work is amortized.
+    /// `1..=`[`MAX_BATCH`], which is the default). Campaign sites that
+    /// trigger in the same CTA ride one shared fault-free replay, up to
+    /// this many at a time; a site with no such neighbour rides a replay
+    /// of its own. `1` disables batching: every site runs solo, as one
+    /// faulty run stopped at the replay cut, with no early-convergence
+    /// tracking. Outcomes are byte-identical across batch sizes — batching
+    /// only changes how the work is amortized.
     pub fn set_batch(&mut self, lanes: usize) {
         self.batch = lanes.clamp(1, MAX_BATCH);
     }

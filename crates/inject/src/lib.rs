@@ -46,7 +46,7 @@ mod solo;
 mod target;
 pub mod testing;
 
-pub use batch::{batch_version, DEFAULT_BATCH, MAX_BATCH};
+pub use batch::{batch_version, MAX_BATCH};
 pub use cache::{CacheHold, CacheKey, ExperimentCache, Prepared};
 pub use campaign::{
     classifier_hash, CampaignObserver, CampaignResult, Experiment, IncrementalCampaign,

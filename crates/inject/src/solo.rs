@@ -110,6 +110,11 @@ impl ExecHook for SoloHook<'_> {
     // the oracle for it is the slow path, which runs every loop out.
     const PREDICT_HANGS: bool = true;
 
+    /// The faulty thread arms its spin detector at the flip.
+    fn flip_at(&self, tid: u32) -> Option<u32> {
+        (tid == self.site.tid).then_some(self.site.dyn_idx)
+    }
+
     fn on_fault_predicted(&mut self, fault: SimFault) {
         self.predicted = Some(fault);
     }

@@ -154,6 +154,18 @@ pub trait ExecHook {
         false
     }
 
+    /// The retirement ordinal (`dyn_idx`) of the fault this hook injects
+    /// into thread `tid`, if it injects one there. Consulted only under
+    /// [`ExecHook::PREDICT_HANGS`], as a thread-serial quantum of `tid`
+    /// starts: an affine certificate is only sound with the flip behind
+    /// its snapshot, so the named thread takes its first snapshot once its
+    /// retirement count has passed the flip, where every other thread
+    /// waits out the detector's fixed step threshold.
+    #[inline]
+    fn flip_at(&self, _tid: u32) -> Option<u32> {
+        None
+    }
+
     /// Called when the spin detector proves how the run ends and aborts it
     /// early with that fault: [`crate::SimFault::BudgetExceeded`] before
     /// the budget is spent, or the [`crate::SimFault::InvalidAccess`] a
@@ -218,6 +230,11 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     #[inline]
     fn converged(&self) -> bool {
         (**self).converged()
+    }
+
+    #[inline]
+    fn flip_at(&self, tid: u32) -> Option<u32> {
+        (**self).flip_at(tid)
     }
 
     #[inline]

@@ -581,7 +581,8 @@ fn run_cta<H: ExecHook>(
             }
             // Run this thread until it blocks, exits or faults.
             ctx.tid = thread.coords.flat_tid();
-            spin.enter(i, live == 1, H::PREDICT_HANGS);
+            let flip = H::PREDICT_HANGS.then(|| hook.flip_at(ctx.tid)).flatten();
+            spin.enter(i, thread.icnt, live == 1, H::PREDICT_HANGS, flip);
             loop {
                 let effect = step(thread, ctx, hook, budget)?;
                 if hook.converged() {
@@ -662,16 +663,26 @@ fn run_cta_warps<H: ExecHook>(
     }
 }
 
-/// Step count a watched thread must exceed before spin detection arms.
+/// Step count a watched thread must exceed before spin detection arms,
+/// unless the hook names the thread's flip ([`ExecHook::flip_at`]).
 ///
 /// Legitimate runs never get there: the longest *whole-thread* retirement
 /// stream across all evaluated kernels is 588 instructions, and a quantum
 /// (or a lone thread's run of quanta) is a slice of one. Below this
 /// threshold the detector costs one counter increment per step and
-/// nothing else. The threshold is a performance knob, not a soundness one:
-/// arming during a legitimate long quantum merely adds a cheap
-/// pc-first state comparison per step until the quantum ends, while every
-/// detected hang pays it once, so it sits just above the longest stream.
+/// nothing else.
+///
+/// The threshold is also what keeps the flip *behind* the snapshot
+/// wherever the flip's position is not known. An affine certificate
+/// extrapolates the strides of one recorded iteration, so it is only
+/// sound once the flip has retired: an iteration that spans the flip
+/// reads the flipped value as part of a counter's stride. Before its flip
+/// a thread runs its golden path, and no golden quantum gets this far.
+/// That is why every thread the hook names no flip for — all threads of golden
+/// runs, batch replays and the slow path, and the non-faulty threads of
+/// a solo rerun — keeps it. The faulty thread of a
+/// [`ExecHook::PREDICT_HANGS`] run instead takes its first snapshot as
+/// soon as its `icnt` has passed the flip's `dyn_idx`.
 const SPIN_ARM_STEPS: u64 = 1 << 10;
 
 /// Longest single-iteration path (in steps) the affine certificate
@@ -715,10 +726,17 @@ const SPIN_PATH_CAP: usize = 1 << 10;
 ///
 /// Snapshots are taken at power-of-two step counts (Brent's cycle-finding
 /// schedule), so a period of any length is caught within a small constant
-/// factor of its first full repetition.
+/// factor of its first full repetition. The schedule starts at
+/// [`SPIN_ARM_STEPS`], or, for the thread the hook names a flip for
+/// ([`ExecHook::flip_at`]), at the first step after which the thread's
+/// `icnt` has passed the flip. That gate counts retirements, not steps: a
+/// step whose guard fails advances `steps` but not `icnt`.
 struct SpinDetector {
     steps: u64,
     next_snap: u64,
+    /// Retirement ordinal of the watched thread's flip until its `icnt`
+    /// has passed it; no snapshot is taken before then.
+    flip: Option<u32>,
     /// No store retired since the current snapshot was taken.
     clean: bool,
     /// Register index that broke the last full comparison, checked first:
@@ -752,6 +770,7 @@ impl SpinDetector {
         SpinDetector {
             steps: 0,
             next_snap: SPIN_ARM_STEPS,
+            flip: None,
             clean: false,
             hint: 0,
             snap: None,
@@ -762,17 +781,24 @@ impl SpinDetector {
         }
     }
 
-    /// Starts watching a quantum of thread `owner`; `lone` says whether
-    /// every other thread of its CTA is done. An affine-mode detector
+    /// Starts watching a quantum of thread `owner`, which has retired
+    /// `icnt` instructions; `lone` says whether every other thread of its
+    /// CTA is done, and `flip` is the retirement ordinal of the fault the
+    /// thread carries, if the hook names one. An affine-mode detector
     /// already watching that lone thread carries on; any other start
     /// resets it.
     #[inline]
-    fn enter(&mut self, owner: usize, lone: bool, affine: bool) {
+    fn enter(&mut self, owner: usize, icnt: u32, lone: bool, affine: bool, flip: Option<u32>) {
         if self.lone && self.owner == owner {
             return;
         }
         self.steps = 0;
-        self.next_snap = SPIN_ARM_STEPS;
+        self.flip = flip;
+        self.next_snap = match flip {
+            // A step retires at most once: no earlier step can pass it.
+            Some(f) => u64::from(f.saturating_sub(icnt)) + 1,
+            None => SPIN_ARM_STEPS,
+        };
         self.clean = false;
         self.snap = None;
         self.recording = false;
@@ -799,8 +825,7 @@ impl SpinDetector {
             self.clean = false;
         }
         if self.steps >= self.next_snap {
-            self.next_snap *= 2;
-            self.snapshot(thread, H::PREDICT_HANGS);
+            self.arm(thread, H::PREDICT_HANGS);
         } else if self.clean || self.recording {
             return self.revisit(code, thread, budget).map_or(Ok(()), |fault| {
                 hook.on_fault_predicted(fault);
@@ -808,6 +833,24 @@ impl SpinDetector {
             });
         }
         Ok(())
+    }
+
+    /// Takes the scheduled snapshot, or, while the watched thread has not
+    /// yet retired its flip, schedules the next step that could.
+    fn arm(&mut self, thread: &ThreadState, affine: bool) {
+        if let Some(flip) = self.flip {
+            if thread.icnt <= flip {
+                // Failed guards stepped without retiring.
+                self.next_snap = self.steps + u64::from(flip - thread.icnt) + 1;
+                return;
+            }
+            // Brent's schedule runs from the flip.
+            self.flip = None;
+            self.steps = 1;
+            self.next_snap = 1;
+        }
+        self.next_snap *= 2;
+        self.snapshot(thread, affine);
     }
 
     fn snapshot(&mut self, thread: &ThreadState, affine: bool) {
@@ -1523,6 +1566,81 @@ mod tests {
         let (run, hook, _) = counting_loop(0x7FFF_0000, "gt.s32.s32", 100, 100_000);
         assert_eq!(run.unwrap_err(), SimFault::BudgetExceeded);
         assert_eq!(hook.predicted, 1);
+    }
+
+    /// A hook that names a flip at thread 0's first retirement, counts how
+    /// often the loop asks for it, and opts into prediction when `P`.
+    #[derive(Default)]
+    struct FlipHook<const P: bool> {
+        asked: std::cell::Cell<u32>,
+        inner: PredictingHook,
+    }
+
+    impl<const P: bool> ExecHook for FlipHook<P> {
+        const PREDICT_HANGS: bool = P;
+
+        fn flip_at(&self, tid: u32) -> Option<u32> {
+            self.asked.set(self.asked.get() + 1);
+            (tid == 0).then_some(0)
+        }
+
+        fn on_retire(&mut self, ev: crate::hook::RetireEvent<'_>) {
+            self.inner.on_retire(ev);
+        }
+
+        fn on_fault_predicted(&mut self, fault: SimFault) {
+            self.inner.on_fault_predicted(fault);
+        }
+    }
+
+    #[test]
+    fn flip_position_is_asked_only_when_predicting_and_is_forwarded() {
+        // The counter needs 2^32 iterations to wrap to its exit.
+        let p = assemble(
+            "t",
+            r#"
+            mov.u32 $r1, 0x1
+            loop:
+            add.u32 $r1, $r1, 0x1
+            set.ne.u32.u32 $p0/$o127, $r1, $r124
+            @$p0.ne bra loop
+            exit
+            "#,
+        )
+        .unwrap();
+        let launch = Launch::new(p).instr_budget(1_000_000);
+        let mut global = MemBlock::with_words(1);
+        // Through `&mut H`: the named flip arms the detector at once, and
+        // the hang is certified within the first iterations.
+        let mut flip = FlipHook::<true>::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut &mut flip)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert!(flip.asked.get() > 0, "a predicting hook is asked");
+        assert_eq!(flip.inner.predicted, 1);
+        assert!(flip.inner.retired < 16, "retired {}", flip.inner.retired);
+        // With no flip named the thread waits out the step threshold.
+        let mut plain = PredictingHook::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut plain)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(plain.predicted, 1);
+        assert!(
+            plain.retired > SPIN_ARM_STEPS / 2,
+            "retired {}",
+            plain.retired
+        );
+        // A hook that does not predict is never asked.
+        let mut quiet = FlipHook::<false>::default();
+        let launch = launch.instr_budget(20_000);
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut &mut quiet)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(quiet.asked.get(), 0, "a non-predicting hook is asked");
+        assert_eq!(quiet.inner.retired, 20_000);
     }
 
     #[test]

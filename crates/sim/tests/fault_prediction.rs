@@ -132,7 +132,7 @@ impl Walk {
         let mut global = MemBlock::with_words(self.global_words);
         for i in 0..self.global_words.min(64) {
             global
-                .store(4 * i as u32, i as u32 * 0x9E37_79B9)
+                .store(4 * i as u32, (i as u32).wrapping_mul(0x9E37_79B9))
                 .expect("in bounds");
         }
         global

@@ -454,3 +454,48 @@ fn pruned_plans_of_crash_bound_kernels_match_the_slow_path() {
         assert_eq!(crashes_labelled(id) - labelled, predicted, "{id}");
     }
 }
+
+/// A loop whose every iteration steps one guard-failed instruction before
+/// the counter's `add`: in the faulty thread's quantum, failed guards come
+/// before any flip that lands in a later iteration, so the thread's step
+/// count runs ahead of its retirement count by one per iteration. The
+/// detector may take the faulty thread's first snapshot only once its
+/// `icnt` has passed the flip. A snapshot taken on the step count, or
+/// before the flip at all, records an iteration that spans the flip and
+/// reads the flipped bit as part of the counter's stride: a low-bit flip
+/// that leaves a finite loop (an SDC a few dozen iterations later) would
+/// then be predicted as a hang.
+#[test]
+fn faulty_thread_arms_once_it_has_retired_its_flip() {
+    let gated = Synthetic::new(
+        "flip_gate",
+        r#"
+        mov.u32 $r2, 0x10
+        mov.u32 $r6, $r124
+        set.eq.u32.u32 $p1/$o127, $r124, 0x1
+        loop:
+        @$p1.ne add.u32 $r6, $r6, 0x1
+        add.u32 $r6, $r6, $r2
+        add.u32 $r2, $r2, -1
+        set.ne.u32.u32 $p0/$o127, $r2, $r124
+        @$p0.ne bra loop
+        st.global.u32 [$r124], $r6
+        exit
+        "#,
+        1,
+        16,
+        (0, 1),
+    );
+    let (outcomes, _, hangs) = gated.check_exhaustively();
+    assert!(
+        count(&outcomes, HANG) > 10,
+        "{} hangs",
+        count(&outcomes, HANG)
+    );
+    assert!(
+        count(&outcomes, Outcome::Sdc) > 100,
+        "{} SDCs",
+        count(&outcomes, Outcome::Sdc)
+    );
+    assert!(hangs > 0, "no hang was predicted");
+}
