@@ -6,7 +6,7 @@
 //!
 //! - [`ace`]: classifies destination-register bits as ACE / un-ACE before
 //!   any dynamic profiling (Stage 0 of the pruning pipeline).
-//! - [`lint`]: a kernel linter for the hand-written workload assembly.
+//! - [`lint`](mod@lint): a kernel linter for the hand-written workload assembly.
 
 pub mod absint;
 pub mod ace;

@@ -394,7 +394,7 @@ impl PreparedRun {
     /// Runs `target` fault-free — once — to capture the golden output,
     /// calibrate the hang budget, record the dynamic-instruction trace (so
     /// [`Experiment::site_space`] needs no second run) and, for launches
-    /// under [`FULL_TRACE_THREAD_LIMIT`] threads, snapshot resumable
+    /// of at most 4 096 threads (`FULL_TRACE_THREAD_LIMIT`), snapshot resumable
     /// checkpoints and record the golden boundaries for the campaign fast
     /// path. Each call records one `inject.prepare` span.
     ///
@@ -560,7 +560,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     }
 
     /// Resumable golden checkpoints captured by [`Experiment::prepare`]
-    /// (empty for launches over [`FULL_TRACE_THREAD_LIMIT`] threads).
+    /// (empty for launches over 4 096 threads, `FULL_TRACE_THREAD_LIMIT`).
     #[must_use]
     pub fn num_checkpoints(&self) -> usize {
         self.run.checkpoints.len()
@@ -612,8 +612,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// `full_traces` selects the threads that get full traces (needed for
     /// sampling or enumerating their sites); pass `0..launch.num_threads()`
     /// to make every site addressable. When [`Experiment::prepare`]
-    /// already recorded the requested traces (every launch under
-    /// [`FULL_TRACE_THREAD_LIMIT`] threads), this is a cheap subset copy;
+    /// already recorded the requested traces (every launch of at most
+    /// 4 096 threads, `FULL_TRACE_THREAD_LIMIT`), this is a cheap subset copy;
     /// otherwise it falls back to one traced re-run.
     #[must_use]
     pub fn site_space(&self, full_traces: impl IntoIterator<Item = u32>) -> SiteSpace {
@@ -643,9 +643,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     }
 
     /// The latest checkpoint taken strictly before `site`'s flip could
-    /// retire: per-thread `icnt` is nondecreasing across checkpoints, so
-    /// this is the last one where the site's thread had retired at most
-    /// `dyn_idx` instructions (the flip itself is still ahead).
+    /// retire: the last one where the flip is still
+    /// [ahead](Checkpoint::ahead). Across checkpoints it turns from ahead
+    /// to behind at most once, so a binary search finds it.
     fn checkpoint_for(&self, site: crate::FaultSite) -> Option<&Checkpoint> {
         self.checkpoint_key(site)
             .checked_sub(1)
@@ -658,14 +658,14 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     fn checkpoint_key(&self, site: crate::FaultSite) -> usize {
         self.run
             .checkpoints
-            .partition_point(|c| c.icnt(site.tid) <= site.dyn_idx)
+            .partition_point(|c| c.ahead(site.tid, site.dyn_idx))
     }
 
     /// The batch-group sort key of a site: `(CTA, resume point)`. Campaign
     /// batching co-schedules sites sharing a CTA — a batch resumes from the
     /// *earliest* checkpoint among its lanes, which is sound for every
-    /// later lane because per-thread retired counts are monotone across
-    /// checkpoints, so the earlier restore point still precedes each
+    /// later lane because a flip ahead at a checkpoint is ahead at every
+    /// earlier one, so the earlier restore point still precedes each
     /// lane's trigger. Sorting by resume point within the CTA keeps the
     /// checkpoint spread inside one batch small. Distributed chunk
     /// formation (fsp-serve / fsp-fleet) aligns lease boundaries to CTA

@@ -24,7 +24,7 @@
 //!
 //! Connections are `Connection: close`, one thread per request — campaign
 //! throughput, not HTTP throughput, is the bottleneck by design. Every
-//! connection gets a read/write deadline ([`SOCKET_TIMEOUT`]) so a stalled
+//! connection gets a 10 s read/write deadline (`SOCKET_TIMEOUT`) so a stalled
 //! or half-open peer cannot pin its handler thread forever.
 //!
 //! Request bytes are parsed by [`read_request`], which caps every line and

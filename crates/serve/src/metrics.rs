@@ -27,7 +27,7 @@ pub const STAGES: [&str; 7] = [
     "bit",
 ];
 
-/// Index of a [`CampaignMode::mode_name`] into the per-mode counters.
+/// Index of a [`crate::CampaignMode::mode_name`] into the per-mode counters.
 /// Unknown names fold into slot 0 rather than panicking in a metrics path.
 #[must_use]
 pub fn mode_index(mode: &str) -> usize {

@@ -6,12 +6,14 @@
 //! snapshots every K retired instructions during the fault-free run and
 //! resume each injected run from the closest snapshot at or before its
 //! fault site, skipping the shared golden prefix entirely
-//! ([`crate::Simulator::run_from`]).
+//! ([`crate::Simulator::run_from_with`]).
 //!
 //! Memory blocks are copy-on-write ([`crate::MemBlock`]), so a snapshot's
 //! global image shares every chunk the kernel did not rewrite in the
 //! preceding interval; dozens of checkpoints cost far less than dozens of
 //! full memory copies.
+
+use std::cmp::Ordering;
 
 use crate::mem::MemBlock;
 use crate::thread::ThreadState;
@@ -42,9 +44,6 @@ impl Default for CheckpointConfig {
 pub struct Checkpoint {
     /// Instructions retired grid-wide at the snapshot.
     pub(crate) retired: u64,
-    /// Barrier releases counted so far (resumed stats are suffix-only;
-    /// kept for diagnostics).
-    pub(crate) barriers: u64,
     /// Linear index (`cy * gx + cx`) of the CTA executing at the snapshot.
     pub(crate) cta: u32,
     /// That CTA had released a barrier before the snapshot.
@@ -55,8 +54,6 @@ pub struct Checkpoint {
     pub(crate) shared: MemBlock,
     /// Global memory at the snapshot (chunks shared copy-on-write).
     pub(crate) global: MemBlock,
-    /// Per-thread retired-instruction counts at the snapshot, grid-wide.
-    pub(crate) icnt: Vec<u32>,
 }
 
 impl Checkpoint {
@@ -66,17 +63,18 @@ impl Checkpoint {
         self.retired
     }
 
-    /// Instructions thread `tid` had retired at the snapshot (0 for
-    /// out-of-range ids — such a thread has retired nothing).
+    /// Whether thread `tid`'s instruction `dyn_idx` (0-based) is still
+    /// ahead, not yet retired, at the snapshot. CTAs run in launch order,
+    /// so a thread of an earlier CTA has retired everything and a thread
+    /// of a later CTA nothing; a thread of the snapshot's CTA is judged by
+    /// its own retired count.
     #[must_use]
-    pub fn icnt(&self, tid: u32) -> u32 {
-        self.icnt.get(tid as usize).copied().unwrap_or(0)
-    }
-
-    /// Barrier releases counted up to the snapshot (diagnostics; resumed
-    /// run stats are suffix-only).
-    #[must_use]
-    pub fn barriers(&self) -> u64 {
-        self.barriers
+    pub fn ahead(&self, tid: u32, dyn_idx: u32) -> bool {
+        let per_cta = self.threads.len() as u32;
+        match (tid / per_cta).cmp(&self.cta) {
+            Ordering::Less => false,
+            Ordering::Greater => true,
+            Ordering::Equal => self.threads[(tid % per_cta) as usize].icnt <= dyn_idx,
+        }
     }
 }

@@ -424,7 +424,7 @@ fn mask(v: u32, ty: ScalarType) -> u32 {
 /// Evaluates a value-producing instruction over already-processed source
 /// values (`RetireEvent::srcs` order), returning `(value, carry, overflow)`.
 ///
-/// This is the single evaluator [`step`] itself commits through, so a hook
+/// This is the single evaluator the interpreter commits through, so a hook
 /// re-running it over substituted sources (shadow-lane recompute) gets
 /// bit-identical semantics by construction. `Selp` expects the raw 4-bit
 /// flags of its predicate operand in slot 2.

@@ -17,11 +17,6 @@ pub struct RunStats {
     /// Total dynamic instructions retired across all threads. For runs
     /// resumed from a checkpoint this covers the executed suffix only.
     pub instructions: u64,
-    /// Number of barrier releases across all CTAs (suffix-only when
-    /// resumed).
-    pub barriers: u64,
-    /// Total threads executed.
-    pub threads: u32,
 }
 
 /// How threads of a CTA are scheduled.
@@ -84,12 +79,26 @@ impl ResumeScratch {
     pub fn retired(&self) -> u64 {
         self.retired
     }
+
+    /// Records that the run just ended retired `retired` instructions, and
+    /// returns its stats unless it faulted.
+    fn finish(&mut self, retired: u64, result: Result<(), SimFault>) -> Result<RunStats, SimFault> {
+        self.retired = retired;
+        result.map(|()| RunStats {
+            instructions: retired,
+        })
+    }
 }
 
-/// Resets a CTA's shared memory and writes the launch parameters at the
-/// base.
+/// Resets a CTA's shared memory to the launch's size, zeroed, with the
+/// launch parameters at the base.
 fn reset_shared(shared: &mut MemBlock, launch: &Launch) {
-    shared.clear();
+    let words = (launch.shared_size() as usize).div_ceil(4);
+    if shared.len_bytes() == words * 4 {
+        shared.clear();
+    } else {
+        *shared = MemBlock::with_space(words, MemSpace::Shared);
+    }
     for (i, &p) in launch.param_values().iter().enumerate() {
         shared
             .store(PARAM_BASE + 4 * i as u32, p)
@@ -97,9 +106,9 @@ fn reset_shared(shared: &mut MemBlock, launch: &Launch) {
     }
 }
 
-/// (Re)builds the thread states of the CTA at `(cx, cy)` in `threads`,
-/// reusing existing allocations.
-fn fill_cta_threads(threads: &mut Vec<ThreadState>, launch: &Launch, cx: u32, cy: u32) {
+/// (Re)builds the thread states of CTA `cta` (linear launch index) in
+/// `threads`, reusing existing allocations.
+fn fill_cta_threads(threads: &mut Vec<ThreadState>, launch: &Launch, cta: u32) {
     let (gx, gy) = launch.grid_dim();
     let (bx, by, bz) = launch.block_dim();
     let mut idx = 0;
@@ -108,7 +117,7 @@ fn fill_cta_threads(threads: &mut Vec<ThreadState>, launch: &Launch, cx: u32, cy
             for tx in 0..bx {
                 let coords = ThreadCoords {
                     tid: (tx, ty, tz),
-                    ctaid: (cx, cy),
+                    ctaid: (cta % gx, cta / gx),
                     ntid: (bx, by, bz),
                     nctaid: (gx, gy),
                 };
@@ -189,105 +198,23 @@ impl Simulator {
         hook: &mut H,
         scratch: &mut ResumeScratch,
     ) -> Result<RunStats, SimFault> {
-        let mut budget = launch.budget();
-        let result = self.run_grid(launch, global, hook, scratch, &mut budget);
-        scratch.retired = launch.budget() - budget;
-        result.map(|barriers| RunStats {
-            instructions: scratch.retired,
-            barriers,
-            threads: launch.num_threads(),
-        })
-    }
-
-    /// The body of [`Simulator::run_with`]: returns the barrier releases.
-    fn run_grid<H: ExecHook>(
-        &self,
-        launch: &Launch,
-        global: &mut MemBlock,
-        hook: &mut H,
-        scratch: &mut ResumeScratch,
-        budget: &mut u64,
-    ) -> Result<u64, SimFault> {
-        let program = launch.program();
-        let (gx, gy) = launch.grid_dim();
-        let cta_threads = launch.threads_per_cta() as usize;
-        let mut barriers = 0;
-        let ResumeScratch {
-            threads, shared, ..
-        } = scratch;
-        let words = (launch.shared_size() as usize).div_ceil(4);
-        if shared.len_bytes() != words * 4 {
-            *shared = MemBlock::with_space(words, MemSpace::Shared);
+        match self.mode {
+            ExecMode::ThreadSerial => run_serial(launch, global, hook, scratch, None, &mut ()),
+            ExecMode::WarpLockstep { width } => run_warps(launch, global, hook, scratch, width),
         }
-        // Reconvergence table for warp-lockstep mode, once per launch. An
-        // explicit `ssy <label>` earlier in the same basic block wins
-        // (PTXPlus-style annotation); otherwise the immediate
-        // post-dominator from the CFG.
-        let rpcs: Vec<Option<usize>> = match self.mode {
-            ExecMode::ThreadSerial => Vec::new(),
-            ExecMode::WarpLockstep { .. } => {
-                let cfg = program.cfg();
-                let pdom = cfg.post_dominators();
-                (0..program.len())
-                    .map(|pc| {
-                        let block = &cfg.blocks()[cfg.block_of(pc)];
-                        let declared = (block.start..pc).rev().find_map(|p| {
-                            let i = program.instr(p);
-                            (i.opcode == fsp_isa::Opcode::Ssy)
-                                .then_some(i.target)
-                                .flatten()
-                        });
-                        declared.or_else(|| pdom[cfg.block_of(pc)].map(|b| cfg.blocks()[b].start))
-                    })
-                    .collect()
-            }
-        };
-        let mut ctx = ExecCtx::new(launch, global, shared);
-
-        for cy in 0..gy {
-            for cx in 0..gx {
-                // Fresh shared memory per CTA, parameters at the base.
-                reset_shared(ctx.shared, launch);
-                fill_cta_threads(threads, launch, cx, cy);
-
-                match self.mode {
-                    ExecMode::ThreadSerial => {
-                        if run_cta(
-                            &mut ctx,
-                            &mut threads[..cta_threads],
-                            hook,
-                            budget,
-                            &mut barriers,
-                            false,
-                        )? || hook.on_cta_end(cy * gx + cx, ctx.global, *budget)
-                        {
-                            return Ok(barriers);
-                        }
-                    }
-                    ExecMode::WarpLockstep { width } => run_cta_warps(
-                        &mut ctx,
-                        &mut threads[..cta_threads],
-                        hook,
-                        budget,
-                        &mut barriers,
-                        width,
-                        &rpcs,
-                    )?,
-                }
-            }
-        }
-        Ok(barriers)
     }
 
     /// Runs `launch` like [`Simulator::run`] while capturing resumable
     /// snapshots of the machine roughly every `config.interval` retired
     /// instructions (thread-serial schedule only). The returned checkpoints
-    /// are ordered by [`Checkpoint::retired`] and every per-thread
-    /// [`Checkpoint::icnt`] is nondecreasing across them.
+    /// are ordered by [`Checkpoint::retired`], and for every instruction
+    /// of every thread [`Checkpoint::ahead`] turns from `true` to `false`
+    /// at most once across them.
     ///
-    /// [`ExecHook::on_thread_exit`] is called after each thread exits and
-    /// [`ExecHook::on_cta_end`] after each CTA; a `true` from either stops
-    /// the run there with the checkpoints captured so far.
+    /// The hook is driven exactly as in a thread-serial [`Simulator::run`]:
+    /// a `true` from [`ExecHook::converged`], [`ExecHook::on_thread_exit`]
+    /// or [`ExecHook::on_cta_end`] stops the run there with the checkpoints
+    /// captured so far.
     ///
     /// # Errors
     ///
@@ -308,123 +235,30 @@ impl Simulator {
             matches!(self.mode, ExecMode::ThreadSerial),
             "checkpoint capture requires the thread-serial schedule"
         );
-        let (gx, _) = launch.grid_dim();
-        let cta_threads = launch.threads_per_cta() as usize;
-        let nctas = launch.num_ctas();
-        let mut budget = launch.budget();
-        let mut stats = RunStats {
-            instructions: 0,
-            barriers: 0,
-            threads: launch.num_threads(),
+        let interval = config.interval.max(1);
+        let mut capture = Checkpoints {
+            start: launch.budget(),
+            interval,
+            max: config.max.max(1),
+            next_at: interval,
+            list: Vec::new(),
         };
-        let mut shared = MemBlock::with_space(
-            (launch.shared_size() as usize).div_ceil(4),
-            MemSpace::Shared,
-        );
-        let mut threads: Vec<ThreadState> = Vec::with_capacity(cta_threads);
-        // Retired counts of threads in already-completed CTAs; threads of
-        // the running CTA are overlaid at capture time.
-        let mut icnt_done = vec![0u32; launch.num_threads() as usize];
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut interval = config.interval.max(1);
-        let max = config.max.max(1);
-        let mut next_at = interval;
-        let mut ctx = ExecCtx::new(launch, global, &mut shared);
-
-        'grid: for cta in 0..nctas {
-            let (cx, cy) = (cta % gx, cta / gx);
-            reset_shared(ctx.shared, launch);
-            fill_cta_threads(&mut threads, launch, cx, cy);
-            let mut released = false;
-            loop {
-                let mut all_done = true;
-                for i in 0..cta_threads {
-                    if threads[i].status != ThreadStatus::Ready {
-                        if threads[i].status == ThreadStatus::AtBarrier {
-                            all_done = false;
-                        }
-                        continue;
-                    }
-                    ctx.tid = threads[i].coords.flat_tid();
-                    loop {
-                        // Between-step snapshot point: the machine state
-                        // here (statuses + memories) fully determines the
-                        // rest of the run under the serial schedule.
-                        let retired = launch.budget() - budget;
-                        if retired >= next_at {
-                            let _cap = fsp_obs::span("sim.checkpoint_capture");
-                            let mut icnt = icnt_done.clone();
-                            for t in &threads[..cta_threads] {
-                                icnt[t.coords.flat_tid() as usize] = t.icnt;
-                            }
-                            checkpoints.push(Checkpoint {
-                                retired,
-                                barriers: stats.barriers,
-                                cta,
-                                released,
-                                threads: threads[..cta_threads].to_vec(),
-                                shared: ctx.shared.clone(),
-                                global: ctx.global.clone(),
-                                icnt,
-                            });
-                            if checkpoints.len() >= max {
-                                // Thin to every other snapshot and double
-                                // the cadence: long runs keep a bounded
-                                // set at geometrically coarser spacing.
-                                let mut keep = 0u32;
-                                checkpoints.retain(|_| {
-                                    keep += 1;
-                                    keep % 2 == 1
-                                });
-                                interval *= 2;
-                            }
-                            next_at = retired + interval;
-                        }
-                        match step(&mut threads[i], &mut ctx, hook, &mut budget)? {
-                            StepEffect::Continue => {}
-                            StepEffect::Barrier => {
-                                all_done = false;
-                                break;
-                            }
-                            StepEffect::Done => {
-                                if hook.on_thread_exit(ctx.tid, released, ctx.global, budget) {
-                                    break 'grid;
-                                }
-                                break;
-                            }
-                        }
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                stats.barriers += 1;
-                released = true;
-                for thread in threads.iter_mut() {
-                    if thread.status == ThreadStatus::AtBarrier {
-                        thread.status = ThreadStatus::Ready;
-                    }
-                }
-            }
-            for t in &threads[..cta_threads] {
-                icnt_done[t.coords.flat_tid() as usize] = t.icnt;
-            }
-            if hook.on_cta_end(cta, ctx.global, budget) {
-                break;
-            }
-        }
-        stats.instructions = launch.budget() - budget;
-        Ok((stats, checkpoints))
+        let scratch = &mut ResumeScratch::default();
+        let stats = run_serial(launch, global, hook, scratch, None, &mut capture)?;
+        Ok((stats, capture.list))
     }
 
     /// Resumes `launch` from `checkpoint`, skipping the already-retired
     /// golden prefix (thread-serial schedule only). `global` is overwritten
     /// with the checkpoint's image (copy-on-write, so this is O(chunk
-    /// pointers)). The remaining dynamic-instruction budget is
+    /// pointers)), and the checkpoint's thread states and shared memory
+    /// are cloned into `scratch`'s allocations: campaigns resume thousands
+    /// of runs per worker. The remaining dynamic-instruction budget is
     /// `launch.budget() - checkpoint.retired()`, which makes hang
     /// classification identical to a full run.
     ///
-    /// The returned stats cover the executed suffix only.
+    /// The returned stats, and [`ResumeScratch::retired`], cover the
+    /// executed suffix only.
     ///
     /// # Errors
     ///
@@ -434,35 +268,6 @@ impl Simulator {
     ///
     /// Panics in warp-lockstep mode, or if the checkpoint does not belong
     /// to an equivalent launch (thread-count mismatch).
-    pub fn run_from<H: ExecHook>(
-        &self,
-        checkpoint: &Checkpoint,
-        launch: &Launch,
-        global: &mut MemBlock,
-        hook: &mut H,
-    ) -> Result<RunStats, SimFault> {
-        self.run_from_with(
-            checkpoint,
-            launch,
-            global,
-            hook,
-            &mut ResumeScratch::default(),
-        )
-    }
-
-    /// [`Simulator::run_from`] with caller-owned resume buffers: campaigns
-    /// resume thousands of runs per worker, so the per-resume thread-state
-    /// and shared-memory images are cloned into `scratch`'s allocations
-    /// instead of fresh ones. The scratch records the instructions the
-    /// suffix retired ([`ResumeScratch::retired`]) when it faults.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Simulator::run_from`].
     pub fn run_from_with<H: ExecHook>(
         &self,
         checkpoint: &Checkpoint,
@@ -475,72 +280,159 @@ impl Simulator {
             matches!(self.mode, ExecMode::ThreadSerial),
             "checkpoint resume requires the thread-serial schedule"
         );
-        let cta_threads = launch.threads_per_cta() as usize;
         assert_eq!(
             checkpoint.threads.len(),
-            cta_threads,
+            launch.threads_per_cta() as usize,
             "checkpoint does not match this launch"
         );
-        let start_budget = launch.budget().saturating_sub(checkpoint.retired);
-        let mut budget = start_budget;
-        let result = resume(checkpoint, launch, global, hook, scratch, &mut budget);
-        scratch.retired = start_budget - budget;
-        result.map(|barriers| RunStats {
-            instructions: scratch.retired,
-            barriers,
-            threads: launch.num_threads(),
-        })
+        run_serial(launch, global, hook, scratch, Some(checkpoint), &mut ())
     }
 }
 
-/// The body of [`Simulator::run_from_with`]: returns the barrier releases.
-fn resume<H: ExecHook>(
-    checkpoint: &Checkpoint,
+/// Snapshot capture during a thread-serial run, offered a snapshot before
+/// every step. `()` captures nothing: its `due` is a constant `false`, so
+/// a run without capture pays nothing per step.
+trait Capture {
+    /// Whether a snapshot is due before the next step, with `budget`
+    /// instructions left.
+    fn due(&self, budget: u64) -> bool;
+
+    /// Snapshots the machine between two steps: CTA `cta`, which has
+    /// `released` a barrier, with its `threads` and the memories of `ctx`.
+    fn take(
+        &mut self,
+        cta: u32,
+        released: bool,
+        threads: &[ThreadState],
+        ctx: &ExecCtx<'_>,
+        budget: u64,
+    );
+}
+
+impl Capture for () {
+    #[inline(always)]
+    fn due(&self, _budget: u64) -> bool {
+        false
+    }
+
+    fn take(&mut self, _: u32, _: bool, _: &[ThreadState], _: &ExecCtx<'_>, _: u64) {}
+}
+
+/// The golden checkpoints of [`Simulator::run_with_checkpoints`].
+struct Checkpoints {
+    /// The launch's whole budget: a run with `budget` left has retired
+    /// `start - budget`.
+    start: u64,
+    interval: u64,
+    max: usize,
+    /// Retired count at which the next snapshot is due.
+    next_at: u64,
+    list: Vec<Checkpoint>,
+}
+
+impl Capture for Checkpoints {
+    #[inline]
+    fn due(&self, budget: u64) -> bool {
+        self.start - budget >= self.next_at
+    }
+
+    fn take(
+        &mut self,
+        cta: u32,
+        released: bool,
+        threads: &[ThreadState],
+        ctx: &ExecCtx<'_>,
+        budget: u64,
+    ) {
+        let _cap = fsp_obs::span("sim.checkpoint_capture");
+        let retired = self.start - budget;
+        self.list.push(Checkpoint {
+            retired,
+            cta,
+            released,
+            threads: threads.to_vec(),
+            shared: ctx.shared.clone(),
+            global: ctx.global.clone(),
+        });
+        if self.list.len() >= self.max {
+            // Thin to every other snapshot and double the cadence: long
+            // runs keep a bounded set at geometrically coarser spacing.
+            let mut keep = 0u32;
+            self.list.retain(|_| {
+                keep += 1;
+                keep % 2 == 1
+            });
+            self.interval *= 2;
+        }
+        self.next_at = retired + self.interval;
+    }
+}
+
+/// The thread-serial schedule, the one CTA loop behind [`Simulator::run`],
+/// [`Simulator::run_with_checkpoints`] and [`Simulator::run_from_with`]:
+/// runs the CTAs in launch order through [`run_cta`], from CTA 0 or, given
+/// a checkpoint, from its snapshot with the budget its prefix left, and
+/// calls [`ExecHook::on_cta_end`] after each.
+fn run_serial<H: ExecHook, C: Capture>(
     launch: &Launch,
     global: &mut MemBlock,
     hook: &mut H,
     scratch: &mut ResumeScratch,
-    budget: &mut u64,
-) -> Result<u64, SimFault> {
-    let (gx, _) = launch.grid_dim();
-    let cta_threads = launch.threads_per_cta() as usize;
-    let restore = fsp_obs::span("sim.checkpoint_restore");
-    global.clone_from(&checkpoint.global);
+    from: Option<&Checkpoint>,
+    capture: &mut C,
+) -> Result<RunStats, SimFault> {
+    let start = launch
+        .budget()
+        .saturating_sub(from.map_or(0, |cp| cp.retired));
+    let mut budget = start;
     let ResumeScratch {
         threads, shared, ..
     } = scratch;
-    shared.clone_from(&checkpoint.shared);
-    threads.clone_from(&checkpoint.threads);
-    drop(restore);
-    let mut barriers = 0;
+    if let Some(cp) = from {
+        let _restore = fsp_obs::span("sim.checkpoint_restore");
+        global.clone_from(&cp.global);
+        shared.clone_from(&cp.shared);
+        threads.clone_from(&cp.threads);
+    }
+    let cta_threads = launch.threads_per_cta() as usize;
     let mut ctx = ExecCtx::new(launch, global, shared);
-    // Finish the checkpointed CTA from its snapshot state, then the
-    // remaining CTAs from scratch.
-    for cta in checkpoint.cta..launch.num_ctas() {
-        if cta > checkpoint.cta {
-            let (cx, cy) = (cta % gx, cta / gx);
-            reset_shared(ctx.shared, launch);
-            fill_cta_threads(threads, launch, cx, cy);
-        }
-        if run_cta(
+    let mut stop = Ok(false);
+    for cta in from.map_or(0, |cp| cp.cta)..launch.num_ctas() {
+        // The checkpointed CTA goes on from its snapshot; every other CTA
+        // starts afresh, with parameters at the base of shared memory.
+        let released = match from {
+            Some(cp) if cp.cta == cta => cp.released,
+            _ => {
+                reset_shared(ctx.shared, launch);
+                fill_cta_threads(threads, launch, cta);
+                false
+            }
+        };
+        stop = run_cta(
             &mut ctx,
             &mut threads[..cta_threads],
             hook,
-            budget,
-            &mut barriers,
-            cta == checkpoint.cta && checkpoint.released,
-        )? || hook.on_cta_end(cta, ctx.global, *budget)
-        {
+            &mut budget,
+            capture,
+            cta,
+            released,
+        );
+        // A fault, or a hook's request to stop, ends the run.
+        if stop != Ok(false) || hook.on_cta_end(cta, ctx.global, budget) {
             break;
         }
     }
-    Ok(barriers)
+    scratch.finish(start - budget, stop.map(|_| ()))
 }
 
-/// Runs one CTA to completion under the serial schedule. Returns `true`
+/// Runs CTA `cta` to completion under the serial schedule. Returns `true`
 /// if the hook reported convergence, or asked to stop at a thread's exit,
 /// and the run should stop early. `released` says whether the CTA has
 /// already released a barrier (a CTA resumed from a checkpoint).
+///
+/// Before every step `capture` is asked whether a snapshot is due: the
+/// machine state there (statuses and memories) fully determines the rest
+/// of the run under the serial schedule.
 ///
 /// Each thread's quantum is watched by a [`SpinDetector`]: under the
 /// serial schedule a quantum has exclusive access to the machine, so a
@@ -549,12 +441,13 @@ fn resume<H: ExecHook>(
 /// that either cannot reach its exit compare or walks out of bounds first)
 /// is aborted with the [`SimFault`] it would end in, without grinding
 /// through the rest of the loop.
-fn run_cta<H: ExecHook>(
+fn run_cta<H: ExecHook, C: Capture>(
     ctx: &mut ExecCtx<'_>,
     threads: &mut [ThreadState],
     hook: &mut H,
     budget: &mut u64,
-    barriers: &mut u64,
+    capture: &mut C,
+    cta: u32,
     mut released: bool,
 ) -> Result<bool, SimFault> {
     // Live (not yet exited) threads: the detector may only persist
@@ -572,18 +465,22 @@ fn run_cta<H: ExecHook>(
     };
     loop {
         let mut all_done = true;
-        for (i, thread) in threads.iter_mut().enumerate() {
-            if thread.status != ThreadStatus::Ready {
-                if thread.status == ThreadStatus::AtBarrier {
+        for i in 0..threads.len() {
+            if threads[i].status != ThreadStatus::Ready {
+                if threads[i].status == ThreadStatus::AtBarrier {
                     all_done = false;
                 }
                 continue;
             }
             // Run this thread until it blocks, exits or faults.
-            ctx.tid = thread.coords.flat_tid();
+            ctx.tid = threads[i].coords.flat_tid();
             let flip = H::PREDICT_HANGS.then(|| hook.flip_at(ctx.tid)).flatten();
-            spin.enter(i, thread.icnt, live == 1, H::PREDICT_HANGS, flip);
+            spin.enter(i, threads[i].icnt, live == 1, H::PREDICT_HANGS, flip);
             loop {
+                if capture.due(*budget) {
+                    capture.take(cta, released, threads, ctx, *budget);
+                }
+                let thread = &mut threads[i];
                 let effect = step(thread, ctx, hook, budget)?;
                 if hook.converged() {
                     return Ok(true);
@@ -614,7 +511,6 @@ fn run_cta<H: ExecHook>(
             return Ok(false);
         }
         // Every live thread is at the barrier: release them all.
-        *barriers += 1;
         released = true;
         for thread in threads.iter_mut() {
             if thread.status == ThreadStatus::AtBarrier {
@@ -624,12 +520,54 @@ fn run_cta<H: ExecHook>(
     }
 }
 
+/// The warp-lockstep schedule: CTAs in launch order, each run by
+/// [`run_cta_warps`]. It stays apart from [`run_serial`] as the reference
+/// schedule that tests compare the thread-serial one against.
+fn run_warps<H: ExecHook>(
+    launch: &Launch,
+    global: &mut MemBlock,
+    hook: &mut H,
+    scratch: &mut ResumeScratch,
+    width: u32,
+) -> Result<RunStats, SimFault> {
+    // Reconvergence table, once per launch. An explicit `ssy <label>`
+    // earlier in the same basic block wins (PTXPlus-style annotation);
+    // otherwise the immediate post-dominator from the CFG.
+    let program = launch.program();
+    let cfg = program.cfg();
+    let pdom = cfg.post_dominators();
+    let rpcs: Vec<Option<usize>> = (0..program.len())
+        .map(|pc| {
+            let block = &cfg.blocks()[cfg.block_of(pc)];
+            let declared = (block.start..pc).rev().find_map(|p| {
+                let i = program.instr(p);
+                (i.opcode == fsp_isa::Opcode::Ssy)
+                    .then_some(i.target)
+                    .flatten()
+            });
+            declared.or_else(|| pdom[cfg.block_of(pc)].map(|b| cfg.blocks()[b].start))
+        })
+        .collect();
+    let ResumeScratch {
+        threads, shared, ..
+    } = scratch;
+    let cta_threads = launch.threads_per_cta() as usize;
+    let mut ctx = ExecCtx::new(launch, global, shared);
+    let mut budget = launch.budget();
+    let result = (0..launch.num_ctas()).try_for_each(|cta| {
+        reset_shared(ctx.shared, launch);
+        fill_cta_threads(threads, launch, cta);
+        let threads = &mut threads[..cta_threads];
+        run_cta_warps(&mut ctx, threads, hook, &mut budget, width, &rpcs)
+    });
+    scratch.finish(launch.budget() - budget, result)
+}
+
 fn run_cta_warps<H: ExecHook>(
     ctx: &mut ExecCtx<'_>,
     threads: &mut [ThreadState],
     hook: &mut H,
     budget: &mut u64,
-    barriers: &mut u64,
     width: u32,
     rpcs: &[Option<usize>],
 ) -> Result<(), SimFault> {
@@ -654,7 +592,6 @@ fn run_cta_warps<H: ExecHook>(
             );
             return Ok(());
         }
-        *barriers += 1;
         for thread in threads.iter_mut() {
             if thread.status == ThreadStatus::AtBarrier {
                 thread.status = ThreadStatus::Ready;
@@ -666,21 +603,25 @@ fn run_cta_warps<H: ExecHook>(
 /// Step count a watched thread must exceed before spin detection arms,
 /// unless the hook names the thread's flip ([`ExecHook::flip_at`]).
 ///
-/// Legitimate runs never get there: the longest *whole-thread* retirement
-/// stream across all evaluated kernels is 588 instructions, and a quantum
-/// (or a lone thread's run of quanta) is a slice of one. Below this
-/// threshold the detector costs one counter increment per step and
-/// nothing else.
+/// Below this threshold the detector costs one counter increment per step
+/// and nothing else. At eval scale fault-free runs never get there: the
+/// longest *whole-thread* retirement stream across all evaluated kernels
+/// is 588 instructions, and a quantum (or a lone thread's run of quanta)
+/// is a slice of one. Paper-scale threads run longer (a gemm thread
+/// retires about 1 300), so golden runs, checkpoint capture included, may
+/// arm. That is harmless: without [`ExecHook::PREDICT_HANGS`] only exact
+/// recurrence is checked, and it cannot fire on a run that terminates, so
+/// an armed golden run pays for snapshots and compares, never an outcome.
 ///
 /// The threshold is also what keeps the flip *behind* the snapshot
 /// wherever the flip's position is not known. An affine certificate
 /// extrapolates the strides of one recorded iteration, so it is only
 /// sound once the flip has retired: an iteration that spans the flip
 /// reads the flipped value as part of a counter's stride. Before its flip
-/// a thread runs its golden path, and no golden quantum gets this far.
-/// That is why every thread the hook names no flip for — all threads of golden
-/// runs, batch replays and the slow path, and the non-faulty threads of
-/// a solo rerun — keeps it. The faulty thread of a
+/// a thread runs its golden path, and at eval scale no golden quantum gets
+/// this far. That is why every thread the hook names no flip for — all
+/// threads of golden runs, batch replays and the slow path, and the
+/// non-faulty threads of a solo rerun — keeps it. The faulty thread of a
 /// [`ExecHook::PREDICT_HANGS`] run instead takes its first snapshot as
 /// soon as its `icnt` has passed the flip's `dyn_idx`.
 const SPIN_ARM_STEPS: u64 = 1 << 10;
@@ -1331,7 +1272,18 @@ fn first_hit(u: u32, step: u32, target: u32) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::hook::NopHook;
+    use crate::trace::Tracer;
     use fsp_isa::assemble;
+
+    /// [`Simulator::run_from_with`] with fresh buffers.
+    fn resume<H: ExecHook>(
+        cp: &Checkpoint,
+        launch: &Launch,
+        global: &mut MemBlock,
+        hook: &mut H,
+    ) -> Result<RunStats, SimFault> {
+        Simulator::new().run_from_with(cp, launch, global, hook, &mut ResumeScratch::default())
+    }
 
     #[test]
     fn barrier_communicates_through_shared() {
@@ -1363,12 +1315,10 @@ mod tests {
         .unwrap();
         let mut global = MemBlock::with_words(8);
         let launch = Launch::new(p).grid(1, 1).block(8, 1, 1).param(0);
-        let stats = Simulator::new()
+        Simulator::new()
             .run(&launch, &mut global, &mut NopHook)
             .unwrap();
         assert_eq!(global.to_vec(), [42u32; 8]);
-        assert_eq!(stats.barriers, 1);
-        assert_eq!(stats.threads, 8);
     }
 
     #[test]
@@ -1405,11 +1355,33 @@ mod tests {
         .unwrap();
         let mut global = MemBlock::with_words(1);
         let launch = Launch::new(p).instr_budget(1 << 40).param(0);
-        let stats = Simulator::new()
-            .run(&launch, &mut global, &mut NopHook)
-            .unwrap();
+        let sim = Simulator::new();
+        let stats = sim.run(&launch, &mut global, &mut NopHook).unwrap();
         assert_eq!(global.load(0).unwrap(), 0);
         assert!(stats.instructions > 100_000);
+        // Golden capture and every resume run under the same detector.
+        let mut captured = MemBlock::with_words(1);
+        let (ckpt_stats, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut captured,
+                &mut NopHook,
+                CheckpointConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(ckpt_stats, stats);
+        assert_eq!(captured, global);
+        assert!(
+            cps.iter()
+                .any(|c| c.retired > SPIN_ARM_STEPS && c.retired < stats.instructions - 3),
+            "want a snapshot inside the loop, with the detector armed"
+        );
+        for cp in &cps {
+            let mut resumed = MemBlock::with_words(1);
+            let suffix = resume(cp, &launch, &mut resumed, &mut NopHook).unwrap();
+            assert_eq!(resumed, global, "resume at retired={}", cp.retired);
+            assert_eq!(cp.retired + suffix.instructions, stats.instructions);
+        }
     }
 
     /// A hook that opts into fault prediction and counts what happened.
@@ -1889,11 +1861,20 @@ mod tests {
         assert_eq!(ckpt, plain);
         assert!(!cps.is_empty(), "a 16-instruction cadence captures some");
         assert!(cps.windows(2).all(|w| w[0].retired < w[1].retired));
-        for tid in 0..launch.num_threads() {
-            assert!(
-                cps.windows(2).all(|w| w[0].icnt(tid) <= w[1].icnt(tid)),
-                "per-thread icnt must be nondecreasing"
-            );
+        // Every golden instruction turns from ahead to behind at most once
+        // across the checkpoints, which keeps `partition_point` exact.
+        let mut tracer = Tracer::new(launch.num_threads(), launch.threads_per_cta());
+        Simulator::new()
+            .run(&launch, &mut MemBlock::with_words(16), &mut tracer)
+            .unwrap();
+        for (tid, &icnt) in (0..).zip(&tracer.finish().icnt) {
+            for dyn_idx in 0..icnt {
+                let ahead: Vec<bool> = cps.iter().map(|c| c.ahead(tid, dyn_idx)).collect();
+                assert!(
+                    ahead.windows(2).all(|w| w[0] || !w[1]),
+                    "thread {tid} instruction {dyn_idx}: {ahead:?}"
+                );
+            }
         }
     }
 
@@ -1919,9 +1900,7 @@ mod tests {
         assert!(cps.len() > 3, "want snapshots across CTA boundaries");
         let mut resumed = MemBlock::with_words(16);
         for cp in &cps {
-            let stats = Simulator::new()
-                .run_from(cp, &launch, &mut resumed, &mut NopHook)
-                .unwrap();
+            let stats = resume(cp, &launch, &mut resumed, &mut NopHook).unwrap();
             assert_eq!(resumed, golden, "resume at retired={}", cp.retired());
             assert_eq!(
                 stats.instructions,
@@ -2010,8 +1989,7 @@ mod tests {
 
         for cp in &cps {
             let mut resumed = CtaEndHook::default();
-            sim.run_from(cp, &launch, &mut MemBlock::with_words(16), &mut resumed)
-                .unwrap();
+            resume(cp, &launch, &mut MemBlock::with_words(16), &mut resumed).unwrap();
             let want: Vec<u32> = (cp.cta..3).collect();
             assert_eq!(cta_ids(&resumed), want, "resume at retired={}", cp.retired);
             assert_eq!(resumed.ends[..], plain.ends[cp.cta as usize..]);
@@ -2068,8 +2046,50 @@ mod tests {
 
         let cp = &cps[cps.len() / 2];
         let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
-        let stats = sim.run_from(cp, &launch, &mut global, &mut hook).unwrap();
+        let stats = resume(cp, &launch, &mut global, &mut hook).unwrap();
         check(&hook, stats, &global, cp.retired);
+
+        // `converged` stops a checkpointed run as it stops a plain one.
+        let converge = || ConvergeAfter {
+            retired: 0,
+            after: 20,
+        };
+        let stats = sim
+            .run(&launch, &mut MemBlock::with_words(16), &mut converge())
+            .unwrap();
+        assert_eq!(stats.instructions, 20);
+        let (stats, cps) = sim
+            .run_with_checkpoints(
+                &launch,
+                &mut MemBlock::with_words(16),
+                &mut converge(),
+                CheckpointConfig {
+                    interval: 7,
+                    max: 1000,
+                },
+            )
+            .unwrap();
+        assert_eq!(stats.instructions, 20);
+        assert!(
+            cps.iter().all(|c| c.retired < 20),
+            "no capture past the stop"
+        );
+    }
+
+    /// Reports convergence once it has seen `after` retirements.
+    struct ConvergeAfter {
+        retired: u64,
+        after: u64,
+    }
+
+    impl ExecHook for ConvergeAfter {
+        fn on_retire(&mut self, _ev: crate::hook::RetireEvent<'_>) {
+            self.retired += 1;
+        }
+
+        fn converged(&self) -> bool {
+            self.retired >= self.after
+        }
     }
 
     /// Three CTAs of four threads; only CTA 1 runs a (guarded) barrier.
@@ -2164,8 +2184,7 @@ mod tests {
 
         for cp in &cps {
             let mut resumed = ExitHook::default();
-            sim.run_from(cp, &launch, &mut MemBlock::with_words(16), &mut resumed)
-                .unwrap();
+            resume(cp, &launch, &mut MemBlock::with_words(16), &mut resumed).unwrap();
             // Threads that exited before the snapshot do not exit again.
             let done = 4 * cp.cta as usize
                 + cp.threads
@@ -2227,7 +2246,7 @@ mod tests {
             .find(|c| c.cta == 1 && c.released)
             .expect("a snapshot after CTA 1's release");
         let (mut hook, mut global) = (stop(), MemBlock::with_words(16));
-        let stats = sim.run_from(cp, &launch, &mut global, &mut hook).unwrap();
+        let stats = resume(cp, &launch, &mut global, &mut hook).unwrap();
         assert_eq!(hook.exits.last(), Some(&(5, true)));
         assert_eq!(cp.retired() + stats.instructions, launch.budget() - full);
         assert!(global.to_vec()[6..].iter().all(|&w| w == 0));

@@ -13,10 +13,15 @@
 //!   `warp_lockstep(32)` schedules;
 //! - the FNV-1a of the outcome vector of a fixed 150-site sampled
 //!   campaign (seed [`SAMPLE_SEED`]) at batch 1 (solo fast path) and
-//!   batch 16.
+//!   batch 16;
+//! - where injected runs resume: the FNV-1a of the `retired()` sequence
+//!   of the golden checkpoints at the default capture cadence, and of
+//!   `batch_group_key` over every dynamic instruction of the golden trace
+//!   (a site's key does not depend on its bit, so this covers every site
+//!   of the full site space).
 
-use fault_site_pruning::inject::{Experiment, InjectionTarget, WeightedSite};
-use fault_site_pruning::sim::{NopHook, Simulator};
+use fault_site_pruning::inject::{Experiment, FaultSite, InjectionTarget, WeightedSite};
+use fault_site_pruning::sim::{CheckpointConfig, NopHook, Simulator};
 use fault_site_pruning::workloads::{self, Scale};
 use fsp_obs::Fnv1a;
 use rand::rngs::StdRng;
@@ -40,20 +45,25 @@ struct Pin {
     batch1: u64,
     /// Outcome-vector FNV of the sampled campaign at batch 16.
     batch16: u64,
+    /// FNV of the golden checkpoints' `retired()` sequence and of every
+    /// dynamic instruction's `batch_group_key`.
+    resume: (u64, u64),
 }
 
 impl std::fmt::Display for Pin {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pin({:?}, ({:#018x}, {}), ({:#018x}, {}), {:#018x}, {:#018x}),",
+            "pin({:?}, ({:#018x}, {}), ({:#018x}, {}), {:#018x}, {:#018x}, ({:#018x}, {:#018x})),",
             self.id,
             self.serial.0,
             self.serial.1,
             self.warp.0,
             self.warp.1,
             self.batch1,
-            self.batch16
+            self.batch16,
+            self.resume.0,
+            self.resume.1
         )
     }
 }
@@ -64,6 +74,7 @@ const fn pin(
     warp: (u64, u64),
     batch1: u64,
     batch16: u64,
+    resume: (u64, u64),
 ) -> Pin {
     Pin {
         id,
@@ -71,11 +82,13 @@ const fn pin(
         warp,
         batch1,
         batch16,
+        resume,
     }
 }
 
 /// Recorded before the decoded-op interpreter replaced the
-/// instruction-walking one.
+/// instruction-walking one; the `resume` pairs, before golden capture,
+/// cold runs and resumes were merged into one thread-serial CTA loop.
 const PINS: [Pin; 17] = [
     pin(
         "hotspot",
@@ -83,6 +96,7 @@ const PINS: [Pin; 17] = [
         (0x32eceea8a7c724cd, 34502),
         0x11cf3f47e8dbf866,
         0x11cf3f47e8dbf866,
+        (0x56d3572c0b94bf59, 0x37edd9a4e2e734b5),
     ),
     pin(
         "kmeans_k1",
@@ -90,6 +104,7 @@ const PINS: [Pin; 17] = [
         (0x133e4491cf155d7d, 7976),
         0x7ade5d808c809ad0,
         0x7ade5d808c809ad0,
+        (0x3ad7d2eb60ba5580, 0x99fe49747f4fa2e5),
     ),
     pin(
         "kmeans_k2",
@@ -97,6 +112,7 @@ const PINS: [Pin; 17] = [
         (0xd99dc339f5a78814, 43770),
         0x535054a7d783321e,
         0x535054a7d783321e,
+        (0x70445950ba8ab701, 0xd1f0a25274495774),
     ),
     pin(
         "gaussian_k1",
@@ -104,6 +120,7 @@ const PINS: [Pin; 17] = [
         (0xf0e5535990264cc8, 583),
         0x07cca67eb4ab556f,
         0x07cca67eb4ab556f,
+        (0x56223402afc21b8f, 0x8fe153e012f4b871),
     ),
     pin(
         "gaussian_k2",
@@ -111,6 +128,7 @@ const PINS: [Pin; 17] = [
         (0x5dfed746a67d5661, 7001),
         0x0c277cc5d760aa0d,
         0x0c277cc5d760aa0d,
+        (0x8a104e80ecc331ac, 0xb841cb4f2c6c6812),
     ),
     pin(
         "gaussian_k125",
@@ -118,6 +136,7 @@ const PINS: [Pin; 17] = [
         (0x002448df0416961b, 511),
         0x936cdd0bb6277212,
         0x936cdd0bb6277212,
+        (0xf677a3984ef3baa5, 0x6ca0de7a52d92f06),
     ),
     pin(
         "gaussian_k126",
@@ -125,6 +144,7 @@ const PINS: [Pin; 17] = [
         (0x053570189b29c2af, 3873),
         0x5a1e65232d3da000,
         0x5a1e65232d3da000,
+        (0xd55476a75f71bd30, 0x63852249a06c14cb),
     ),
     pin(
         "pathfinder",
@@ -132,6 +152,7 @@ const PINS: [Pin; 17] = [
         (0x8ffaa9381e2a059e, 28374),
         0xe9a6e3cdc617e95d,
         0xe9a6e3cdc617e95d,
+        (0x9d0bd8c16525b2c5, 0x256838d57d5c00e4),
     ),
     pin(
         "lud_k44",
@@ -139,6 +160,7 @@ const PINS: [Pin; 17] = [
         (0xec96a5efd07cc02c, 7976),
         0x33e4b6c46cfb864f,
         0x33e4b6c46cfb864f,
+        (0x3ad7d2eb60ba5580, 0x3e359d37800ca565),
     ),
     pin(
         "lud_k45",
@@ -146,6 +168,7 @@ const PINS: [Pin; 17] = [
         (0x0a1907ff49a5ea18, 3776),
         0x62914fbd15e4df05,
         0x62914fbd15e4df05,
+        (0x47bfa97fabc1b965, 0xaf3a945652b19165),
     ),
     pin(
         "lud_k46",
@@ -153,6 +176,7 @@ const PINS: [Pin; 17] = [
         (0x580ebf244f54746d, 2146),
         0x69cd24ec7c8e4531,
         0x69cd24ec7c8e4531,
+        (0xd9ac7568a162fecd, 0xf3f017cb5d42b805),
     ),
     pin(
         "2dconv",
@@ -160,6 +184,7 @@ const PINS: [Pin; 17] = [
         (0xfee7f3600579be4f, 13554),
         0x284dc3a8f1801936,
         0x284dc3a8f1801936,
+        (0x003c609fd38a11c9, 0x44acd015f5793594),
     ),
     pin(
         "mvt",
@@ -167,6 +192,7 @@ const PINS: [Pin; 17] = [
         (0x31f9aa7de91bdb09, 37632),
         0x4fdb9b39b343722c,
         0x4fdb9b39b343722c,
+        (0xd7925098b5254b75, 0x8e734d2bcd056725),
     ),
     pin(
         "2mm",
@@ -174,6 +200,7 @@ const PINS: [Pin; 17] = [
         (0xde1060a471400464, 41728),
         0xa48f44fdfe5bf4b5,
         0xa48f44fdfe5bf4b5,
+        (0x1e6d45bf41cee845, 0x19ab1b625af1b925),
     ),
     pin(
         "gemm",
@@ -181,6 +208,7 @@ const PINS: [Pin; 17] = [
         (0xe2283f466aad4602, 46080),
         0x3bd5207e190e41aa,
         0x3bd5207e190e41aa,
+        (0xf85754829d54c695, 0xe58efa1b473f5b25),
     ),
     pin(
         "syrk",
@@ -188,6 +216,7 @@ const PINS: [Pin; 17] = [
         (0x907554586f3ceda1, 46080),
         0x0088788c2931b138,
         0x0088788c2931b138,
+        (0xf85754829d54c695, 0xe58efa1b473f5b25),
     ),
     pin(
         "nn",
@@ -195,6 +224,7 @@ const PINS: [Pin; 17] = [
         (0xd4ab35fb380d58b0, 9584),
         0x38d229b1f423270b,
         0x38d229b1f423270b,
+        (0x196ed467ec470b8a, 0xf72082f16e437825),
     ),
 ];
 
@@ -230,13 +260,44 @@ fn measure(w: &workloads::Workload) -> Pin {
         h.finish()
     };
     let (batch1, batch16) = (campaign(1), campaign(16));
+    let mut keys = Fnv1a::new();
+    for (tid, &icnt) in (0..).zip(&space.trace().icnt) {
+        for dyn_idx in 0..icnt {
+            let (cta, key) = experiment.batch_group_key(FaultSite {
+                tid,
+                dyn_idx,
+                bit: 0,
+            });
+            keys.write_u32(cta);
+            keys.write_u64(key as u64);
+        }
+    }
     Pin {
         id: w.registry_id(),
         serial: fault_free(w, Simulator::new()),
         warp: fault_free(w, Simulator::warp_lockstep(32)),
         batch1,
         batch16,
+        resume: (checkpoint_positions(w), keys.finish()),
     }
+}
+
+/// FNV of the `retired()` sequence of the golden checkpoints captured at
+/// the default cadence.
+fn checkpoint_positions(w: &workloads::Workload) -> u64 {
+    let (_, checkpoints) = Simulator::new()
+        .run_with_checkpoints(
+            &w.launch(),
+            &mut w.init_memory(),
+            &mut NopHook,
+            CheckpointConfig::default(),
+        )
+        .expect("fault-free run");
+    let mut h = Fnv1a::new();
+    for c in &checkpoints {
+        h.write_u64(c.retired());
+    }
+    h.finish()
 }
 
 /// Every registry kernel reproduces its pinned fault-free outputs,
