@@ -121,7 +121,7 @@ pub fn fig4(opts: &Options) -> String {
     for id in ["2dconv", "hotspot"] {
         let w = fsp_workloads::by_id(id, Scale::Eval).expect("registered");
         let (experiment, space) = full_space(&w);
-        let trace = space.trace().clone();
+        let trace = space.trace();
         // A CTA with iCnt diversity: the one whose thread iCnts span widest.
         let cta = (0..trace.num_ctas())
             .max_by_key(|&c| {
@@ -301,7 +301,7 @@ pub fn fig7(opts: &Options) -> String {
     for id in ["2dconv", "mvt"] {
         let w = fsp_workloads::by_id(id, Scale::Eval).expect("registered");
         let (experiment, space) = full_space(&w);
-        let trace = space.trace().clone();
+        let trace = space.trace();
         let program = w.launch();
         // Partition each thread's sites by (register class, bit section).
         let mut buckets: BTreeMap<(bool, u32), Vec<FaultSite>> = BTreeMap::new();

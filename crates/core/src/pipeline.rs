@@ -188,35 +188,23 @@ impl PruningPipeline {
         &self.config
     }
 
-    /// Plans a pruned campaign for a prepared experiment: traces the
-    /// fault-free run (summary pass to group threads, full pass for the
-    /// representatives) and builds the plan.
+    /// Plans a pruned campaign for a prepared experiment from the golden
+    /// trace [`Experiment::prepare`] recorded, in one pass.
     ///
     /// # Errors
     ///
-    /// Propagates a [`SimFault`] from the tracing runs (a workload bug).
+    /// None: planning reads the trace `prepare` recorded and runs nothing,
+    /// so no error arm is reachable.
     pub fn plan_for<T: InjectionTarget>(
         &self,
         experiment: &Experiment<'_, T>,
     ) -> Result<PruningPlan, SimFault> {
-        // Pass 1: summaries only, to find the representatives.
-        let summary = experiment.site_space(std::iter::empty());
-        let grouping = ThreadGrouping::analyze_with(summary.trace(), self.config.cta_key);
-        let reps: Vec<u32> = grouping
-            .representatives(summary.trace())
-            .iter()
-            .map(|r| r.tid)
-            .collect();
-        // Pass 2: full traces for the representatives.
-        let full = experiment.site_space(reps);
         let launch = experiment.target().launch();
-        let classify = if self.config.absint {
-            let ctx = abs_context_for(experiment.target());
-            Some(ClassifyReport::analyze(launch.program(), &ctx))
-        } else {
-            None
-        };
-        Ok(self.plan_classified(launch.program(), full.trace(), classify.as_ref()))
+        let space = experiment.site_space(std::iter::empty());
+        let classify = self.config.absint.then(|| {
+            ClassifyReport::analyze(launch.program(), &abs_context_for(experiment.target()))
+        });
+        Ok(self.plan_classified(launch.program(), space.trace(), classify.as_ref()))
     }
 
     /// Builds a plan from a program and a trace that contains full traces

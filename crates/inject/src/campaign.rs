@@ -22,9 +22,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use fsp_isa::PredTest;
 use fsp_sim::{
-    BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, FullTraces, GoldenBoundaries,
-    KernelTrace, Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator, Tracer,
-    Writeback,
+    BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, GoldenBoundaries, KernelTrace,
+    Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator, Tracer, Writeback,
 };
 use fsp_stats::{Outcome, OutcomeKind, ResilienceProfile};
 
@@ -39,14 +38,6 @@ use crate::target::InjectionTarget;
 /// balance across heterogeneous site costs, large enough that claiming a
 /// chunk (the only synchronized step) is negligible next to running it.
 const CHUNK: usize = 16;
-
-/// Launches with at most this many threads get full per-thread traces,
-/// golden checkpoints and the golden boundaries captured during
-/// [`Experiment::prepare`]. Larger launches (paper-scale grids) skip all
-/// three — a grid-wide per-checkpoint `icnt` table and a full trace per
-/// thread would dwarf the kernel's own memory — and campaigns over them
-/// fall back to plain full re-execution per site.
-const FULL_TRACE_THREAD_LIMIT: u32 = 4096;
 
 /// Chunk-level progress events from a running campaign.
 ///
@@ -327,15 +318,12 @@ pub struct PreparedRun {
     initial: MemBlock,
     golden: Vec<u32>,
     fault_free_instructions: u64,
-    trace: KernelTrace,
-    /// Whether `trace.full` covers every thread of the launch and the
-    /// checkpoints and boundaries below were captured (small launches
-    /// only; see [`FULL_TRACE_THREAD_LIMIT`]). Without them the fast path
-    /// is off.
-    trace_all: bool,
+    /// The golden trace, with a full trace for every thread; every
+    /// [`SiteSpace`] of this run shares it.
+    trace: Arc<KernelTrace>,
     checkpoints: Vec<Checkpoint>,
     /// The golden run at each CTA boundary and thread exit, for the replay
-    /// cut (empty unless `trace_all`).
+    /// cut.
     boundaries: GoldenBoundaries,
     /// `fsp_inject_cta_cut_total{at}` and `fsp_inject_cta_cut_refused_total`
     /// for this kernel.
@@ -392,11 +380,11 @@ impl ExecHook for PrepareHook<'_> {
 
 impl PreparedRun {
     /// Runs `target` fault-free — once — to capture the golden output,
-    /// calibrate the hang budget, record the dynamic-instruction trace (so
-    /// [`Experiment::site_space`] needs no second run) and, for launches
-    /// of at most 4 096 threads (`FULL_TRACE_THREAD_LIMIT`), snapshot resumable
-    /// checkpoints and record the golden boundaries for the campaign fast
-    /// path. Each call records one `inject.prepare` span.
+    /// calibrate the hang budget, record every thread's full
+    /// dynamic-instruction trace (so [`Experiment::site_space`] needs no
+    /// second run), snapshot resumable checkpoints and record the golden
+    /// boundaries for the campaign fast path. Each call records one
+    /// `inject.prepare` span.
     ///
     /// # Errors
     ///
@@ -408,35 +396,25 @@ impl PreparedRun {
         let initial = target.init_memory();
         let mut memory = initial.clone();
         let num_threads = launch.num_threads();
-        let trace_all = num_threads <= FULL_TRACE_THREAD_LIMIT;
-        let mut tracer = Tracer::new(num_threads, launch.threads_per_cta());
-        if trace_all {
-            tracer = tracer.with_full_traces(0..num_threads);
-        }
-        let sim = Simulator::new();
-        let mut boundaries =
-            trace_all.then(|| BoundaryRecorder::new(&launch, initial.len_bytes() / 4));
+        let mut tracer =
+            Tracer::new(num_threads, launch.threads_per_cta()).with_full_traces(0..num_threads);
+        let mut boundaries = BoundaryRecorder::new(&launch, initial.len_bytes() / 4);
         let (stats, checkpoints) = {
             let _golden = fsp_obs::span("inject.golden_run");
-            if let Some(boundaries) = boundaries.as_mut() {
-                let mut hook = PrepareHook {
-                    tracer: &mut tracer,
-                    boundaries,
-                };
-                sim.run_with_checkpoints(
-                    &launch,
-                    &mut memory,
-                    &mut hook,
-                    CheckpointConfig::default(),
-                )?
-            } else {
-                (sim.run(&launch, &mut memory, &mut tracer)?, Vec::new())
-            }
+            let mut hook = PrepareHook {
+                tracer: &mut tracer,
+                boundaries: &mut boundaries,
+            };
+            Simulator::new().run_with_checkpoints(
+                &launch,
+                &mut memory,
+                &mut hook,
+                CheckpointConfig::default(),
+            )?
         };
         let output = target.output_region();
         let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
-        let boundaries = boundaries.map(BoundaryRecorder::finish).unwrap_or_default();
         let kernel = [("kernel", target.name())];
         let hangs_predicted = fsp_obs::registry().counter_labeled(
             "fsp_inject_hang_predicted_total",
@@ -455,10 +433,9 @@ impl PreparedRun {
             initial,
             golden,
             fault_free_instructions: stats.instructions,
-            trace: tracer.finish(),
-            trace_all,
+            trace: Arc::new(tracer.finish()),
             checkpoints,
-            boundaries,
+            boundaries: boundaries.finish(),
             cut_metrics,
             hangs_predicted,
             crashes_predicted,
@@ -542,12 +519,6 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         self.run.cut_metrics.refusals()
     }
 
-    /// Whether this view runs the fast path: it is on and
-    /// [`PreparedRun::prepare`] captured what it needs.
-    fn fast(&self) -> bool {
-        self.fast_path && self.run.trace_all
-    }
-
     /// The replay cut rule over this experiment's golden run.
     fn cta_cut(&self) -> CtaCut<'_> {
         CtaCut::new(&self.run.boundaries, self.run.output, &self.run.cut_metrics)
@@ -559,8 +530,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         &self.run.golden
     }
 
-    /// Resumable golden checkpoints captured by [`Experiment::prepare`]
-    /// (empty for launches over 4 096 threads, `FULL_TRACE_THREAD_LIMIT`).
+    /// Resumable golden checkpoints captured by [`Experiment::prepare`].
     #[must_use]
     pub fn num_checkpoints(&self) -> usize {
         self.run.checkpoints.len()
@@ -607,39 +577,21 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         self.batch
     }
 
-    /// Builds the exhaustive [`SiteSpace`] from the golden trace.
+    /// The exhaustive [`SiteSpace`] over the golden trace that
+    /// [`Experiment::prepare`] recorded. The space shares that trace, so
+    /// this costs one prefix-sum pass and no copy.
     ///
-    /// `full_traces` selects the threads that get full traces (needed for
-    /// sampling or enumerating their sites); pass `0..launch.num_threads()`
-    /// to make every site addressable. When [`Experiment::prepare`]
-    /// already recorded the requested traces (every launch of at most
-    /// 4 096 threads, `FULL_TRACE_THREAD_LIMIT`), this is a cheap subset copy;
-    /// otherwise it falls back to one traced re-run.
+    /// The returned space addresses every thread of the launch, whatever
+    /// `full_traces` names: the parameter only documents which threads the
+    /// caller will sample or enumerate, and each named thread must be in
+    /// the launch.
     #[must_use]
     pub fn site_space(&self, full_traces: impl IntoIterator<Item = u32>) -> SiteSpace {
-        let requested: Vec<u32> = full_traces.into_iter().collect();
-        if self.run.trace_all || requested.iter().all(|&t| self.run.trace.full.contains(t)) {
-            let full: FullTraces = requested
-                .into_iter()
-                .map(|t| (t, self.run.trace.full.get(t).cloned().unwrap_or_default()))
-                .collect();
-            return SiteSpace::new(KernelTrace {
-                icnt: self.run.trace.icnt.clone(),
-                fault_bits: self.run.trace.fault_bits.clone(),
-                threads_per_cta: self.run.trace.threads_per_cta,
-                full,
-            });
+        let num_threads = self.run.launch.num_threads();
+        for tid in full_traces {
+            debug_assert!(tid < num_threads, "thread {tid} is not in the launch");
         }
-        let mut tracer = Tracer::new(
-            self.run.launch.num_threads(),
-            self.run.launch.threads_per_cta(),
-        )
-        .with_full_traces(requested);
-        let mut memory = self.run.initial.clone();
-        Simulator::new()
-            .run(&self.run.launch, &mut memory, &mut tracer)
-            .expect("fault-free run cannot fault after successful prepare()");
-        SiteSpace::new(tracer.finish())
+        SiteSpace::new(Arc::clone(&self.run.trace))
     }
 
     /// The latest checkpoint taken strictly before `site`'s flip could
@@ -732,7 +684,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let start_ns = fsp_obs::now_ns();
         let sim = Simulator::new();
         let mut meta = RunMeta::default();
-        let (engine, result) = if self.fast() {
+        let (engine, result) = if self.fast_path {
             let threads_per_cta = self.run.launch.threads_per_cta();
             let mut hook = SoloHook::new(site, model, threads_per_cta, self.cta_cut());
             let run = match self.checkpoint_for(site) {
@@ -914,7 +866,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         // Checkpoint-locality schedule: unresolved sites ordered by resume
         // position (ties broken by site index for determinism of the
         // *schedule*; outcomes are order-independent).
-        let batched = self.fast() && self.batch > 1;
+        let batched = self.fast_path && self.batch > 1;
         let order: Vec<usize> = {
             let mut v: Vec<usize> = (0..sites.len())
                 .filter(|&i| outcomes[i].is_none())
@@ -927,7 +879,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                     let (cta, ckpt) = self.batch_group_key(sites[i].site);
                     (cta, ckpt, i)
                 });
-            } else if self.fast() {
+            } else if self.fast_path {
                 v.sort_by_key(|&i| {
                     (
                         self.checkpoint_for(sites[i].site)
@@ -1155,6 +1107,25 @@ mod tests {
         let e = Experiment::prepare(&t).unwrap();
         assert!(e.fault_free_instructions() > 0);
         assert!(!e.golden().is_empty());
+    }
+
+    #[test]
+    fn site_spaces_share_the_prepared_trace() {
+        let t = CountdownTarget::new();
+        let e = Experiment::prepare(&t).unwrap();
+        let all = e.site_space(0..CountdownTarget::THREADS);
+        let one = e.site_space([0]);
+        assert!(std::ptr::eq(all.trace(), one.trace()), "trace was copied");
+        let last = CountdownTarget::THREADS - 1;
+        assert_eq!(
+            one.site_at(one.total_sites() - 1).tid,
+            last,
+            "a space addresses every thread, not just the named ones"
+        );
+        assert_eq!(
+            one.thread_site_iter(last).count() as u64,
+            one.thread_sites(last)
+        );
     }
 
     #[test]

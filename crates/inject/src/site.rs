@@ -1,5 +1,7 @@
 //! Fault sites and the per-kernel site population.
 
+use std::sync::Arc;
+
 use fsp_sim::KernelTrace;
 use rand::Rng;
 
@@ -73,21 +75,23 @@ pub fn unpack_sites(bytes: &[u8]) -> Option<Vec<FaultSite>> {
 
 /// The exhaustive fault-site population of one traced kernel launch.
 ///
-/// Construction requires a [`KernelTrace`] with *full* traces for every
-/// thread that will be sampled or enumerated (campaigns at evaluation scale
-/// trace all threads; paper-scale site *counting* only needs the summary).
+/// Sampling or enumerating a thread's sites needs its *full* trace; site
+/// *counting* needs only the trace summary. The trace is shared, not
+/// owned: every space that [`crate::Experiment::site_space`] returns holds
+/// the prepared run's trace, which has a full trace for every thread.
 #[derive(Debug, Clone)]
 pub struct SiteSpace {
-    trace: KernelTrace,
+    trace: Arc<KernelTrace>,
     /// Prefix sums of per-thread fault bits: `thread_prefix[t]` = sites of
     /// threads `0..t`. Length = threads + 1.
     thread_prefix: Vec<u64>,
 }
 
 impl SiteSpace {
-    /// Builds the site space over a kernel trace.
+    /// Builds the site space over a kernel trace, owned or shared.
     #[must_use]
-    pub fn new(trace: KernelTrace) -> Self {
+    pub fn new(trace: impl Into<Arc<KernelTrace>>) -> Self {
+        let trace = trace.into();
         let mut thread_prefix = Vec::with_capacity(trace.fault_bits.len() + 1);
         let mut acc = 0u64;
         thread_prefix.push(0);

@@ -85,12 +85,6 @@ impl FullTraces {
         self.slots.get_mut(tid as usize).and_then(Option::as_mut)
     }
 
-    /// Whether a full trace was recorded for `tid`.
-    #[must_use]
-    pub fn contains(&self, tid: u32) -> bool {
-        self.get(tid).is_some()
-    }
-
     /// Removes and returns the full trace of `tid`.
     pub fn remove(&mut self, tid: u32) -> Option<ThreadTrace> {
         let prev = self.slots.get_mut(tid as usize).and_then(Option::take);

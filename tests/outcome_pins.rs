@@ -21,6 +21,7 @@
 //!   of the full site space).
 
 use fault_site_pruning::inject::{Experiment, FaultSite, InjectionTarget, WeightedSite};
+use fault_site_pruning::pruning::{PruningConfig, PruningPipeline};
 use fault_site_pruning::sim::{CheckpointConfig, NopHook, Simulator};
 use fault_site_pruning::workloads::{self, Scale};
 use fsp_obs::Fnv1a;
@@ -319,5 +320,62 @@ fn registry_kernels_reproduce_their_pins() {
     assert!(
         diverged.is_empty(),
         "kernels diverged from their pins: {diverged:?}\nmeasured:\n{table}"
+    );
+}
+
+/// FNV-1a of the paper-default plan's sites and weights at `Scale::Paper`,
+/// per kernel in registry order. Recorded while planning still traced the
+/// kernel twice (a summary pass, then a representatives pass).
+const PAPER_PLAN_PINS: [(&str, u64); 17] = [
+    ("hotspot", 0x1dfa0af134275d50),
+    ("kmeans_k1", 0x5116f2f01488f6ea),
+    ("kmeans_k2", 0x9f3bff5e844d40c0),
+    ("gaussian_k1", 0xe627fdc319a6088b),
+    ("gaussian_k2", 0xa39cd4475439e44c),
+    ("gaussian_k125", 0x2841344f82238a5f),
+    ("gaussian_k126", 0x64c942dbbfd88f7b),
+    ("pathfinder", 0x5e2392a8982312e7),
+    ("lud_k44", 0x39dc224a54012cd2),
+    ("lud_k45", 0x6d7d7ce175709d5d),
+    ("lud_k46", 0xff58e4ac8d0dfe5f),
+    ("2dconv", 0x19db0976d29924de),
+    ("mvt", 0xc75985ff9db4c3ec),
+    ("2mm", 0xbe03be4bccd2cc8e),
+    ("gemm", 0x61f3a7ba1804422f),
+    ("syrk", 0xdf63a70396476fc9),
+    ("nn", 0xb882c3dba67a43b4),
+];
+
+/// FNV-1a of `w`'s paper-default plan: every planned site and its weight.
+fn plan_fnv(w: &workloads::Workload) -> u64 {
+    let experiment = Experiment::prepare(w).expect("fault-free run");
+    let plan = PruningPipeline::new(PruningConfig::default())
+        .plan_for(&experiment)
+        .expect("plan");
+    let mut h = Fnv1a::new();
+    for ws in &plan.sites {
+        h.write_u32(ws.site.tid);
+        h.write_u32(ws.site.dyn_idx);
+        h.write_u32(ws.site.bit);
+        h.write_u64(ws.weight.to_bits());
+    }
+    h.finish()
+}
+
+/// Every registry kernel plans the same paper-scale pruned campaign. On a
+/// mismatch the message lists the measured table.
+#[test]
+fn paper_scale_plans_reproduce_their_pins() {
+    let measured: Vec<(&str, u64)> = workloads::all(Scale::Paper)
+        .iter()
+        .map(|w| (w.registry_id(), plan_fnv(w)))
+        .collect();
+    let table: String = measured
+        .iter()
+        .map(|(id, h)| format!("    ({id:?}, {h:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        measured, PAPER_PLAN_PINS,
+        "paper-scale plans diverged from their pins\nmeasured:\n{table}"
     );
 }
