@@ -17,10 +17,11 @@
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
 //! paths are byte-identical in outcomes and SDC severities.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fsp_isa::PredTest;
+use fsp_isa::{MemSpace, PredTest, PARAM_BASE};
 use fsp_sim::{
     BoundaryRecorder, Checkpoint, CheckpointConfig, ExecHook, GoldenBoundaries, KernelTrace,
     Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator, Tracer, Writeback,
@@ -81,10 +82,12 @@ impl CampaignObserver for NopObserver {}
 /// (a corrupted LUD loop bound that doubles one thread's trip count), and
 /// every other kernel stays below 1.15x — so a 4x budget keeps roughly a
 /// 2x margin over the worst finite run. The budget defines a hang, but the
-/// fast path rarely pays it: when a corrupted induction variable leaves a
-/// lone thread circling a loop whose exit compare provably cannot flip
+/// fast path rarely pays it: when a corrupted induction variable leaves the
+/// faulty thread circling a loop whose exit compare provably cannot flip
 /// within the remaining budget, the simulator's spin detector cuts the run
-/// short with the same verdict (DESIGN.md §10). The slow path runs every
+/// short with the same verdict (DESIGN.md §10) — once the thread is alone
+/// in its CTA, or, in a data-oblivious kernel, while its siblings still
+/// run ([`PreparedRun`]'s live-sibling bit). The slow path runs every
 /// hang out and so checks each prediction. The [`MIN_BUDGET`] floor below
 /// protects tiny kernels where a multiplicative margin is meaningless.
 const HANG_FACTOR: u64 = 4;
@@ -328,9 +331,20 @@ pub struct PreparedRun {
     /// `fsp_inject_cta_cut_total{at}` and `fsp_inject_cta_cut_refused_total`
     /// for this kernel.
     cut_metrics: CutMetrics,
+    /// Whether the CTA siblings of a solo rerun's faulty thread follow
+    /// their golden paths whatever it does short of storing into the
+    /// parameter block: the program is data-oblivious
+    /// ([`fsp_analyze::data_oblivious`]) and the golden run stores nothing
+    /// into the parameter block. Lets the spin detector certify the faulty
+    /// thread's hang while its siblings still run
+    /// ([`ExecHook::siblings_follow_golden`]).
+    siblings_follow_golden: bool,
     /// `fsp_inject_hang_predicted_total{kernel}`: fast-path runs the
     /// simulator proved hung and cut short.
     hangs_predicted: fsp_obs::Counter,
+    /// `fsp_inject_hang_predicted_live_total{kernel}`: the subset of those
+    /// certified while a CTA sibling of the faulty thread was still live.
+    hangs_predicted_live: fsp_obs::Counter,
     /// `fsp_inject_crash_predicted_total{kernel}`: fast-path runs the
     /// simulator proved to walk out of bounds and cut short.
     crashes_predicted: fsp_obs::Counter,
@@ -351,18 +365,22 @@ pub struct Experiment<'a, T: InjectionTarget> {
 }
 
 /// Composes the dynamic-instruction tracer with the boundary recorder so
-/// [`Experiment::prepare`] still runs the fault-free launch exactly once.
+/// [`Experiment::prepare`] still runs the fault-free launch exactly once,
+/// and notes whether the golden run stores into the parameter block.
 /// Neither overrides write-back values or stops the run, so composition
 /// order is immaterial.
 struct PrepareHook<'h> {
     tracer: &'h mut Tracer,
     boundaries: &'h mut BoundaryRecorder,
+    params: Range<u32>,
+    param_stored: bool,
 }
 
 impl ExecHook for PrepareHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         self.boundaries.on_retire(ev);
         self.tracer.on_retire(ev);
+        self.param_stored |= stores_into(&ev, &self.params);
     }
 
     fn on_cta_end(&mut self, cta: u32, global: &MemBlock, budget: u64) -> bool {
@@ -376,6 +394,20 @@ impl ExecHook for PrepareHook<'_> {
     fn on_guard_fail(&mut self, tid: u32, pred: u8, test: PredTest) {
         self.tracer.on_guard_fail(tid, pred, test);
     }
+}
+
+/// The parameter block of `launch`: the shared-memory byte addresses its
+/// parameters are loaded at.
+fn param_block(launch: &Launch) -> Range<u32> {
+    PARAM_BASE..PARAM_BASE + 4 * launch.param_values().len() as u32
+}
+
+/// Whether the retirement `ev` stored into the shared-memory byte range
+/// `block`.
+pub(crate) fn stores_into(ev: &RetireEvent<'_>, block: &Range<u32>) -> bool {
+    ev.accesses
+        .iter()
+        .any(|a| a.is_store && a.space == MemSpace::Shared && block.contains(&a.addr))
 }
 
 impl PreparedRun {
@@ -399,19 +431,25 @@ impl PreparedRun {
         let mut tracer =
             Tracer::new(num_threads, launch.threads_per_cta()).with_full_traces(0..num_threads);
         let mut boundaries = BoundaryRecorder::new(&launch, initial.len_bytes() / 4);
-        let (stats, checkpoints) = {
+        let params = param_block(&launch);
+        let (stats, checkpoints, param_stored) = {
             let _golden = fsp_obs::span("inject.golden_run");
             let mut hook = PrepareHook {
                 tracer: &mut tracer,
                 boundaries: &mut boundaries,
+                params: params.clone(),
+                param_stored: false,
             };
-            Simulator::new().run_with_checkpoints(
+            let (stats, checkpoints) = Simulator::new().run_with_checkpoints(
                 &launch,
                 &mut memory,
                 &mut hook,
                 CheckpointConfig::default(),
-            )?
+            )?;
+            (stats, checkpoints, hook.param_stored)
         };
+        let siblings_follow_golden =
+            !param_stored && fsp_analyze::data_oblivious(launch.program(), params);
         let output = target.output_region();
         let golden = memory.read_words(output.0, output.1);
         let budget = (stats.instructions * HANG_FACTOR).max(MIN_BUDGET);
@@ -420,6 +458,11 @@ impl PreparedRun {
             "fsp_inject_hang_predicted_total",
             &kernel,
             "Fast-path injected runs proved hung and cut short, by kernel.",
+        );
+        let hangs_predicted_live = fsp_obs::registry().counter_labeled(
+            "fsp_inject_hang_predicted_live_total",
+            &kernel,
+            "Fast-path injected runs proved hung while a CTA sibling of the faulty thread was live, by kernel.",
         );
         let crashes_predicted = fsp_obs::registry().counter_labeled(
             "fsp_inject_crash_predicted_total",
@@ -437,7 +480,9 @@ impl PreparedRun {
             checkpoints,
             boundaries: boundaries.finish(),
             cut_metrics,
+            siblings_follow_golden,
             hangs_predicted,
+            hangs_predicted_live,
             crashes_predicted,
         })
     }
@@ -491,6 +536,14 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     #[must_use]
     pub fn hangs_predicted(&self) -> u64 {
         self.run.hangs_predicted.get()
+    }
+
+    /// The subset of [`Experiment::hangs_predicted`] certified while a CTA
+    /// sibling of the faulty thread was still live, by the live-sibling
+    /// rule (the `fsp_inject_hang_predicted_live_total` series).
+    #[must_use]
+    pub fn hangs_predicted_live(&self) -> u64 {
+        self.run.hangs_predicted_live.get()
     }
 
     /// Fast-path injected runs of this kernel, process-wide, that the
@@ -686,7 +739,11 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let mut meta = RunMeta::default();
         let (engine, result) = if self.fast_path {
             let threads_per_cta = self.run.launch.threads_per_cta();
-            let mut hook = SoloHook::new(site, model, threads_per_cta, self.cta_cut());
+            let params = self
+                .run
+                .siblings_follow_golden
+                .then(|| param_block(&self.run.launch));
+            let mut hook = SoloHook::new(site, model, threads_per_cta, self.cta_cut(), params);
             let run = match self.checkpoint_for(site) {
                 Some(cp) => {
                     meta.ckpt_hit = true;
@@ -700,7 +757,12 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             };
             meta.executed = resume.retired();
             match hook.predicted() {
-                Some(SimFault::BudgetExceeded) => self.run.hangs_predicted.inc(),
+                Some((SimFault::BudgetExceeded, live)) => {
+                    self.run.hangs_predicted.inc();
+                    if live {
+                        self.run.hangs_predicted_live.inc();
+                    }
+                }
                 Some(_) => self.run.crashes_predicted.inc(),
                 None => {}
             }

@@ -7,15 +7,20 @@
 //! rest of the run replays the golden run, and the outcome follows from
 //! the corrupted words alone ([`ExecHook::on_thread_exit`],
 //! [`ExecHook::on_cta_end`]). It also lets the simulator cut a run short on
-//! a hang or crash certificate ([`ExecHook::PREDICT_HANGS`]). It tracks no
+//! a hang or crash certificate ([`ExecHook::PREDICT_HANGS`]), in a
+//! data-oblivious kernel even while the faulty thread's CTA siblings still
+//! run ([`ExecHook::siblings_follow_golden`]). It tracks no
 //! values: the lanes of a batched replay do that (`crate::batch`), and a
 //! campaign runs solo only the lanes they demote and every site at
 //! `--batch 1`.
 //! The slow path is its oracle (`tests/cta_cut.rs`,
 //! `tests/thread_exit_cut.rs`, `tests/hang_prediction.rs`).
 
+use std::ops::Range;
+
 use fsp_sim::{ExecHook, MemBlock, RetireEvent, SimFault, Writeback};
 
+use crate::campaign::stores_into;
 use crate::cut::{CtaCut, Cut, Word};
 use crate::hook::InjectionHook;
 use crate::model::FaultModel;
@@ -33,8 +38,12 @@ const EXIT_STORE_CAP: usize = 32;
 pub(crate) struct SoloHook<'a> {
     inner: InjectionHook,
     /// The fault the simulator proved the run ends in, when it cut the run
-    /// short on a certificate.
-    predicted: Option<SimFault>,
+    /// short on a certificate, and whether a CTA sibling of the faulty
+    /// thread was live.
+    predicted: Option<(SimFault, bool)>,
+    /// The parameter block while the faulty thread's siblings follow their
+    /// golden paths: until the thread stores into it. `None` otherwise.
+    follow: Option<Range<u32>>,
     cut: CtaCut<'a>,
     site: FaultSite,
     /// CTA of the site's thread: the CTA-end rule applies from its end on.
@@ -51,16 +60,23 @@ pub(crate) struct SoloHook<'a> {
 }
 
 impl<'a> SoloHook<'a> {
-    /// Arms a hook for `site` under `model`, cut under `rule`.
+    /// Arms a hook for `site` under `model`, cut under `rule`. With
+    /// `params`, the parameter block, it answers
+    /// [`ExecHook::siblings_follow_golden`] with `true` until the faulty
+    /// thread stores into it: only for a kernel whose siblings follow their
+    /// golden paths as long as their parameters do (a data-oblivious
+    /// program whose golden run stores nothing there).
     pub(crate) fn new(
         site: FaultSite,
         model: FaultModel,
         threads_per_cta: u32,
         rule: CtaCut<'a>,
+        params: Option<Range<u32>>,
     ) -> Self {
         SoloHook {
             inner: InjectionHook::with_model(site, model),
             predicted: None,
+            follow: params,
             cut: rule,
             site,
             site_cta: site.tid / threads_per_cta.max(1),
@@ -81,9 +97,22 @@ impl<'a> SoloHook<'a> {
 
     /// The fault the simulator proved the run ends in — a hang or an
     /// out-of-bounds access — when it cut the run short instead of running
-    /// into it.
-    pub(crate) fn predicted(&self) -> Option<SimFault> {
+    /// into it, and whether a CTA sibling of the faulty thread was live.
+    pub(crate) fn predicted(&self) -> Option<(SimFault, bool)> {
         self.predicted
+    }
+
+    /// Stops answering [`ExecHook::siblings_follow_golden`] with `true`
+    /// once the faulty thread stores into the parameter block.
+    #[inline(never)]
+    fn watch_params(&mut self, ev: &RetireEvent<'_>) {
+        if self
+            .follow
+            .as_ref()
+            .is_some_and(|params| stores_into(ev, params))
+        {
+            self.follow = None;
+        }
     }
 
     /// Logs the global and shared words the faulty thread stores after the
@@ -115,8 +144,15 @@ impl ExecHook for SoloHook<'_> {
         (tid == self.site.tid).then_some(self.site.dyn_idx)
     }
 
-    fn on_fault_predicted(&mut self, fault: SimFault) {
-        self.predicted = Some(fault);
+    /// Before its flip the faulty thread runs its golden path, which
+    /// stores nothing into the parameter block, so a store there is one
+    /// made since the flip.
+    fn siblings_follow_golden(&self) -> bool {
+        self.follow.is_some()
+    }
+
+    fn on_fault_predicted(&mut self, fault: SimFault, live: bool) {
+        self.predicted = Some((fault, live));
     }
 
     #[inline]
@@ -128,6 +164,9 @@ impl ExecHook for SoloHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         if ev.tid == self.exit_tid && self.inner.triggered() {
             self.log_stores(&ev);
+        }
+        if ev.tid == self.site.tid && self.follow.is_some() && !ev.accesses.is_empty() {
+            self.watch_params(&ev);
         }
     }
 

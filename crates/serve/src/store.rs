@@ -17,13 +17,32 @@
 //! ```
 //!
 //! Both files hold the same fixed 32-byte record format (little-endian
-//! fields plus a 16-bit FNV checksum). Recovery loads the checkpoint, then
+//! fields plus a 16-bit FNV checksum). The checkpoint frames its records:
+//!
+//! ```text
+//! checkpoint.bin = "FSPCKPT\x01" ‖ record* ‖ count: u64 ‖ fnv: u64
+//! ```
+//!
+//! with `count` the number of records and `fnv` the FNV-1a of everything
+//! before it, both little-endian. Recovery loads the checkpoint, then
 //! replays the log and truncates it at the first short or corrupt record —
 //! a crash mid-append therefore loses at most the torn tail record, never
 //! checkpointed state. [`OutcomeStore::checkpoint`] writes the whole index
 //! to a temporary file, atomically renames it over `checkpoint.bin`, and
 //! only then truncates the log; a crash between those steps merely replays
 //! records that are already in the checkpoint (inserts are idempotent).
+//! A checkpoint is only ever replaced whole, so one that is short, whose
+//! count or checksum does not match, or that holds a record that does not
+//! decode is damage, and opening the store fails.
+//!
+//! # Migration from bare checkpoints
+//!
+//! Checkpoints written before the header and trailer were bare records.
+//! A `checkpoint.bin` without the header is read once under the old rules
+//! — a whole number of records, each passing its own checksum — and the
+//! store rewrites it in the framed format as it opens. An empty bare file
+//! (the checkpoint of an empty store) cannot be told from a checkpoint cut
+//! to nothing and is refused: remove it, since it holds no outcomes.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -38,6 +57,59 @@ use fsp_stats::Outcome;
 // byte.
 pub use fsp_fleet::wire::OutcomeKey;
 use fsp_fleet::wire::{decode_record, encode_record, RECORD_LEN};
+use fsp_obs::Fnv1a;
+
+/// The first bytes of a framed checkpoint.
+const MAGIC: &[u8; 8] = b"FSPCKPT\x01";
+
+/// Bytes after the records of a framed checkpoint: count and checksum.
+const TRAILER_LEN: usize = 16;
+
+fn corrupt(what: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("corrupt store checkpoint: {what}"),
+    )
+}
+
+/// The records of a checkpoint file, and whether it is a bare one written
+/// before the framing, which the store migrates.
+fn read_checkpoint(bytes: &[u8]) -> std::io::Result<(Vec<(OutcomeKey, Outcome)>, bool)> {
+    let (body, bare) = match bytes.strip_prefix(MAGIC.as_slice()) {
+        Some(rest) => {
+            let split = rest
+                .len()
+                .checked_sub(TRAILER_LEN)
+                .ok_or_else(|| corrupt("shorter than its header and trailer"))?;
+            let (body, trailer) = rest.split_at(split);
+            let (count, sum) = trailer.split_at(8);
+            let count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
+            if !body.len().is_multiple_of(RECORD_LEN) || count != (body.len() / RECORD_LEN) as u64 {
+                return Err(corrupt("its record count does not match its length"));
+            }
+            let mut fnv = Fnv1a::new();
+            fnv.write(&bytes[..bytes.len() - 8]);
+            if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != fnv.finish() {
+                return Err(corrupt("its checksum does not match"));
+            }
+            (body, false)
+        }
+        None if bytes.is_empty() => {
+            return Err(corrupt(
+                "empty (cut to nothing, or a bare checkpoint of an empty store: remove it)",
+            ))
+        }
+        None if !bytes.len().is_multiple_of(RECORD_LEN) => {
+            return Err(corrupt("no header, and not a whole number of bare records"))
+        }
+        None => (bytes, true),
+    };
+    let records = body
+        .chunks(RECORD_LEN)
+        .map(|r| decode_record(r).ok_or_else(|| corrupt("a record does not decode")))
+        .collect::<std::io::Result<_>>()?;
+    Ok((records, bare))
+}
 
 /// The on-disk outcome store: append-only log + atomic checkpoints, with
 /// the full index held in memory for O(1) lookups.
@@ -53,30 +125,28 @@ impl OutcomeStore {
     /// Opens (creating if absent) the store in `dir`, recovering from the
     /// checkpoint and the append log. A torn log tail — the footprint of a
     /// crash mid-append — is detected by record framing and checksum, and
-    /// truncated away.
+    /// truncated away. A bare checkpoint from before the framing is
+    /// rewritten in the framed format (see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; a corrupt *checkpoint* (which is only ever
-    /// replaced atomically) is an error, not recoverable damage.
+    /// replaced atomically) is an error, not recoverable damage: short,
+    /// with a count or checksum that does not match, or with a record that
+    /// does not decode.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<OutcomeStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut index = HashMap::new();
 
         let checkpoint = dir.join("checkpoint.bin");
-        if checkpoint.exists() {
-            let bytes = std::fs::read(&checkpoint)?;
-            for chunk in bytes.chunks(RECORD_LEN) {
-                let (key, outcome) = decode_record(chunk).ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "corrupt store checkpoint (atomic replace should make this impossible)",
-                    )
-                })?;
-                index.insert(key, outcome);
-            }
-        }
+        let bare = if checkpoint.exists() {
+            let (records, bare) = read_checkpoint(&std::fs::read(&checkpoint)?)?;
+            index.extend(records);
+            bare
+        } else {
+            false
+        };
 
         let log_path = dir.join("outcomes.log");
         let mut valid_len = 0u64;
@@ -106,12 +176,16 @@ impl OutcomeStore {
             .truncate(false)
             .open(&log_path)?;
         log_file.seek(SeekFrom::Start(valid_len))?;
-        Ok(OutcomeStore {
+        let mut store = OutcomeStore {
             dir,
             index,
             log: BufWriter::new(log_file),
             appended: valid_len / RECORD_LEN as u64,
-        })
+        };
+        if bare {
+            store.checkpoint()?;
+        }
+        Ok(store)
     }
 
     /// Looks an outcome up.
@@ -175,13 +249,21 @@ impl OutcomeStore {
         let tmp = self.dir.join("checkpoint.tmp");
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
+            let mut fnv = Fnv1a::new();
+            let mut write = |bytes: &[u8]| {
+                fnv.write(bytes);
+                out.write_all(bytes)
+            };
+            write(MAGIC)?;
             // Deterministic order keeps checkpoints byte-stable for a
             // given index (useful for backups and tests).
             let mut entries: Vec<(&OutcomeKey, &Outcome)> = self.index.iter().collect();
             entries.sort_unstable_by_key(|(k, _)| **k);
-            for (key, outcome) in entries {
-                out.write_all(&encode_record(key, *outcome))?;
+            for (key, outcome) in &entries {
+                write(&encode_record(key, **outcome))?;
             }
+            write(&(entries.len() as u64).to_le_bytes())?;
+            out.write_all(&fnv.finish().to_le_bytes())?;
             out.flush()?;
             out.get_ref().sync_all()?;
         }
@@ -295,6 +377,35 @@ mod tests {
         let s = OutcomeStore::open(&dir).unwrap();
         assert_eq!(s.len(), 3, "corrupt record and nothing else dropped");
         assert_eq!(std::fs::metadata(&log).unwrap().len(), RECORD_LEN as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A bare checkpoint, as written before the header and trailer, opens
+    /// to its records and is rewritten framed; an empty one is refused.
+    #[test]
+    fn bare_checkpoint_is_migrated_once() {
+        let dir = tmp_dir("bare");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.bin");
+        let bare = [
+            encode_record(&key(0), Outcome::Sdc),
+            encode_record(&key(1), Outcome::HANG),
+        ]
+        .concat();
+        std::fs::write(&path, &bare).unwrap();
+        let s = OutcomeStore::open(&dir).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(&key(1)), Some(Outcome::HANG));
+        drop(s);
+        let framed = std::fs::read(&path).unwrap();
+        assert_eq!(framed.len(), MAGIC.len() + bare.len() + TRAILER_LEN);
+        assert_eq!(&framed[MAGIC.len()..MAGIC.len() + bare.len()], &bare[..]);
+        assert_eq!(OutcomeStore::open(&dir).unwrap().len(), 2);
+        std::fs::write(&path, []).unwrap();
+        assert!(
+            OutcomeStore::open(&dir).is_err(),
+            "an empty checkpoint opened"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,10 +6,13 @@
 //! every truncation of a real log and a real checkpoint:
 //!
 //! * `open` returns, never panics;
-//! * a checkpoint holding a record that does not decode is an error;
+//! * a checkpoint that is short, whose record count or checksum does not
+//!   match, or that holds a record that does not decode is an error — so
+//!   is every truncation and every one-byte mutation of a real one;
 //! * otherwise the store holds exactly the checkpoint's records plus the
 //!   log's records up to the first one that does not decode, and the log
-//!   is cut back to those records;
+//!   is cut back to those records (or emptied, when a bare checkpoint from
+//!   before the framing is migrated);
 //! * a record whose bytes were altered is never served;
 //! * reopening gives the same index.
 
@@ -73,9 +76,31 @@ fn real_files(tag: &str) -> (Vec<u8>, Vec<u8>) {
     let checkpoint = std::fs::read(dir.join("checkpoint.bin")).unwrap();
     let log = std::fs::read(dir.join("outcomes.log")).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(checkpoint.len(), 2 * RECORD_LEN);
+    assert_eq!(checkpoint.len(), MAGIC.len() + 2 * RECORD_LEN + 16);
     assert_eq!(log.len(), 3 * RECORD_LEN);
     (checkpoint, log)
+}
+
+/// The header of a framed checkpoint.
+const MAGIC: &[u8] = b"FSPCKPT\x01";
+
+/// The records a checkpoint file opens to, or `None` where the store must
+/// refuse it. A framed file is the header, whole records, their count and
+/// the FNV-1a of everything before the checksum; a bare file from before
+/// the framing is a non-empty run of whole records.
+fn checkpoint_records(bytes: &[u8]) -> Option<Vec<(OutcomeKey, Outcome)>> {
+    let body = match bytes.strip_prefix(MAGIC) {
+        Some(rest) => {
+            let (body, trailer) = rest.split_at(rest.len().checked_sub(16)?);
+            let count = u64::from_le_bytes(trailer[..8].try_into().unwrap());
+            let sum = u64::from_le_bytes(trailer[8..].try_into().unwrap());
+            let whole =
+                body.len().is_multiple_of(RECORD_LEN) && body.len() / RECORD_LEN == count as usize;
+            (whole && sum == fsp_obs::fnv1a(&bytes[..bytes.len() - 8])).then_some(body)?
+        }
+        None => (!bytes.is_empty() && bytes.len().is_multiple_of(RECORD_LEN)).then_some(bytes)?,
+    };
+    body.chunks(RECORD_LEN).map(decode_record).collect()
 }
 
 /// The index the store must hold: `records` inserted in order.
@@ -115,10 +140,7 @@ fn check(dir: &Path, checkpoint: Option<&[u8]>, log: &[u8], expect: Option<Optio
     let intact: Vec<(OutcomeKey, Outcome)> =
         log.chunks(RECORD_LEN).map_while(decode_record).collect();
     let want = expect.unwrap_or_else(|| {
-        let cp: Option<Vec<_>> = match checkpoint {
-            Some(bytes) => bytes.chunks(RECORD_LEN).map(decode_record).collect(),
-            None => Some(Vec::new()),
-        };
+        let cp = checkpoint.map_or(Some(Vec::new()), checkpoint_records);
         cp.map(|cp| index_of(cp.into_iter().chain(intact.iter().copied())))
     });
     let opened = OutcomeStore::open(dir);
@@ -128,9 +150,15 @@ fn check(dir: &Path, checkpoint: Option<&[u8]>, log: &[u8], expect: Option<Optio
     };
     let store = opened.expect("the store opens");
     assert_holds(&store, &want, "open");
+    // Migrating a bare checkpoint checkpoints the whole index at once.
+    let bare = checkpoint.is_some_and(|bytes| !bytes.starts_with(MAGIC));
     assert_eq!(
         std::fs::metadata(&log_path).unwrap().len(),
-        (intact.len() * RECORD_LEN) as u64,
+        if bare {
+            0
+        } else {
+            (intact.len() * RECORD_LEN) as u64
+        },
         "the log is cut back to its last intact record"
     );
     drop(store);
@@ -143,7 +171,8 @@ fn check(dir: &Path, checkpoint: Option<&[u8]>, log: &[u8], expect: Option<Optio
 fn real_files_open_to_their_records() {
     let (checkpoint, log) = real_files("intact");
     let dir = scratch("intact");
-    let want = index_of(records(&checkpoint).into_iter().chain(records(&log)));
+    let cp = checkpoint_records(&checkpoint).expect("a framed checkpoint");
+    let want = index_of(cp.into_iter().chain(records(&log)));
     assert_eq!(
         want[&key(0)],
         Outcome::Detected,
@@ -158,7 +187,7 @@ fn real_files_open_to_their_records() {
 #[test]
 fn every_one_byte_mutation_of_the_log_drops_the_altered_record() {
     let (checkpoint, log) = real_files("log-mutation");
-    let (cp, lg) = (records(&checkpoint), records(&log));
+    let (cp, lg) = (checkpoint_records(&checkpoint).unwrap(), records(&log));
     let dir = scratch("log-mutation");
     for pos in 0..log.len() {
         let kept = index_of(cp.iter().chain(&lg[..pos / RECORD_LEN]).copied());
@@ -174,7 +203,7 @@ fn every_one_byte_mutation_of_the_log_drops_the_altered_record() {
 #[test]
 fn every_truncation_of_the_log_keeps_its_whole_records() {
     let (checkpoint, log) = real_files("log-truncation");
-    let (cp, lg) = (records(&checkpoint), records(&log));
+    let (cp, lg) = (checkpoint_records(&checkpoint).unwrap(), records(&log));
     let dir = scratch("log-truncation");
     for len in 0..log.len() {
         let kept = index_of(cp.iter().chain(&lg[..len / RECORD_LEN]).copied());
@@ -183,8 +212,9 @@ fn every_truncation_of_the_log_keeps_its_whole_records() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The checkpoint is only ever replaced atomically, so a record in it
-/// that does not decode is damage the store must not paper over.
+/// The checkpoint is only ever replaced atomically, so any byte of it
+/// altered — header, record, count or checksum — is damage the store must
+/// not paper over.
 #[test]
 fn every_one_byte_mutation_of_the_checkpoint_is_an_error() {
     let (checkpoint, log) = real_files("checkpoint-mutation");
@@ -199,17 +229,35 @@ fn every_one_byte_mutation_of_the_checkpoint_is_an_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checkpoint cut inside a record is an error; one cut at a record
-/// boundary holds whole, unaltered records and opens to them.
+/// Every truncation of a checkpoint is an error, wherever it cuts: the
+/// trailer's count and checksum no longer match, or — cut inside the
+/// header — the rest is no run of bare records.
 #[test]
-fn every_truncation_of_the_checkpoint_errs_or_keeps_whole_records() {
+fn every_truncation_of_the_checkpoint_is_an_error() {
     let (checkpoint, log) = real_files("checkpoint-truncation");
-    let (cp, lg) = (records(&checkpoint), records(&log));
     let dir = scratch("checkpoint-truncation");
     for len in 0..checkpoint.len() {
-        let want = (len % RECORD_LEN == 0)
-            .then(|| index_of(cp[..len / RECORD_LEN].iter().chain(&lg).copied()));
-        check(&dir, Some(&checkpoint[..len]), &log, Some(want));
+        check(&dir, Some(&checkpoint[..len]), &log, Some(None));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A bare checkpoint from before the framing opens to its records once,
+/// and is framed from then on: every truncation of the migrated file is an
+/// error.
+#[test]
+fn a_bare_checkpoint_is_migrated_to_a_framed_one() {
+    let (checkpoint, log) = real_files("bare");
+    let (cp, lg) = (checkpoint_records(&checkpoint).unwrap(), records(&log));
+    let bare: Vec<u8> = cp.iter().flat_map(|(k, o)| encode_record(k, *o)).collect();
+    let dir = scratch("bare");
+    let want = index_of(cp.iter().chain(&lg).copied());
+    assert!(check(&dir, Some(&bare), &log, Some(Some(want.clone()))));
+    let migrated = std::fs::read(dir.join("checkpoint.bin")).unwrap();
+    assert_eq!(checkpoint_records(&migrated).map(index_of), Some(want));
+    assert!(migrated.starts_with(MAGIC));
+    for len in 0..migrated.len() {
+        check(&dir, Some(&migrated[..len]), &[], Some(None));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -160,18 +160,37 @@ pub trait ExecHook {
     /// starts: an affine certificate is only sound with the flip behind
     /// its snapshot, so the named thread takes its first snapshot once its
     /// retirement count has passed the flip, where every other thread
-    /// waits out the detector's fixed step threshold.
+    /// waits out the detector's fixed step threshold. The named thread
+    /// also gets a spin detector of its own, which may span the barriers
+    /// of its CTA while siblings are live if the hook answers
+    /// [`ExecHook::siblings_follow_golden`].
     #[inline]
     fn flip_at(&self, _tid: u32) -> Option<u32> {
         None
     }
 
+    /// Whether every live CTA sibling of the thread [`ExecHook::flip_at`]
+    /// names provably retires its golden instruction stream at golden
+    /// addresses, whatever that thread does from now on, short of storing
+    /// shared memory. Asked only under [`ExecHook::PREDICT_HANGS`], for the
+    /// named thread while a sibling is live: as its quanta start, and again
+    /// before a hang certified across the siblings' quanta ends the run.
+    /// Answering `true` lets that hang end the run (the live-sibling rule
+    /// of the spin detector in `machine.rs`); the default `false` keeps
+    /// the named thread's detector to one quantum until it is alone.
+    #[inline]
+    fn siblings_follow_golden(&self) -> bool {
+        false
+    }
+
     /// Called when the spin detector proves how the run ends and aborts it
     /// early with that fault: [`crate::SimFault::BudgetExceeded`] before
     /// the budget is spent, or the [`crate::SimFault::InvalidAccess`] a
-    /// pointer walk would run into.
+    /// pointer walk would run into. `live` says whether the proof spans
+    /// quanta of other live threads of the CTA and so was admitted by the
+    /// live-sibling rule ([`ExecHook::siblings_follow_golden`]).
     #[inline]
-    fn on_fault_predicted(&mut self, _fault: crate::SimFault) {}
+    fn on_fault_predicted(&mut self, _fault: crate::SimFault, _live: bool) {}
 
     /// Called after CTA `cta` (linear launch index) finishes under the
     /// thread-serial schedule, with the global memory it left behind and
@@ -238,8 +257,13 @@ impl<H: ExecHook + ?Sized> ExecHook for &mut H {
     }
 
     #[inline]
-    fn on_fault_predicted(&mut self, fault: crate::SimFault) {
-        (**self).on_fault_predicted(fault);
+    fn siblings_follow_golden(&self) -> bool {
+        (**self).siblings_follow_golden()
+    }
+
+    #[inline]
+    fn on_fault_predicted(&mut self, fault: crate::SimFault, live: bool) {
+        (**self).on_fault_predicted(fault, live);
     }
 
     #[inline]

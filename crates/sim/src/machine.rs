@@ -440,7 +440,10 @@ fn run_serial<H: ExecHook, C: Capture>(
 /// with [`ExecHook::PREDICT_HANGS`] — a loop of counters and pointer walks
 /// that either cannot reach its exit compare or walks out of bounds first)
 /// is aborted with the [`SimFault`] it would end in, without grinding
-/// through the rest of the loop.
+/// through the rest of the loop. The thread the hook names a flip for
+/// ([`ExecHook::flip_at`]) has a detector of its own, which its siblings'
+/// quanta do not reset: it may span barriers the siblings take part in
+/// (the live-sibling rule, [`SpinDetector`]).
 fn run_cta<H: ExecHook, C: Capture>(
     ctx: &mut ExecCtx<'_>,
     threads: &mut [ThreadState],
@@ -450,13 +453,17 @@ fn run_cta<H: ExecHook, C: Capture>(
     cta: u32,
     mut released: bool,
 ) -> Result<bool, SimFault> {
-    // Live (not yet exited) threads: the detector may only persist
-    // across barriers once the watched thread is the last one.
+    // Live (not yet exited) threads: a detector persists across barriers
+    // once its thread is the last one, or, for the flipped thread, under
+    // the live-sibling rule.
     let mut live = threads
         .iter()
         .filter(|t| t.status != ThreadStatus::Done)
         .count();
     let mut spin = SpinDetector::new();
+    // The flipped thread's detector, swapped into `spin` for its quanta so
+    // that the step loop always works on one local.
+    let mut own = SpinDetector::new();
     let code = LoopCode {
         ops: ctx.ops,
         instrs: ctx.instrs,
@@ -475,7 +482,12 @@ fn run_cta<H: ExecHook, C: Capture>(
             // Run this thread until it blocks, exits or faults.
             ctx.tid = threads[i].coords.flat_tid();
             let flip = H::PREDICT_HANGS.then(|| hook.flip_at(ctx.tid)).flatten();
-            spin.enter(i, threads[i].icnt, live == 1, H::PREDICT_HANGS, flip);
+            let lone = live == 1;
+            let follow = flip.is_some() && !lone && hook.siblings_follow_golden();
+            if flip.is_some() {
+                std::mem::swap(&mut spin, &mut own);
+            }
+            spin.enter(i, threads[i].icnt, lone, H::PREDICT_HANGS, flip, follow);
             loop {
                 if capture.due(*budget) {
                     capture.take(cta, released, threads, ctx, *budget);
@@ -489,9 +501,10 @@ fn run_cta<H: ExecHook, C: Capture>(
                     StepEffect::Continue => {}
                     StepEffect::Barrier => {
                         all_done = false;
-                        if spin.lone {
-                            // The barrier releases at once: the
-                            // thread's path runs on through it.
+                        if spin.lone || spin.live {
+                            // The thread's path runs on through the
+                            // barrier: at once when it is alone, after
+                            // its siblings' quanta otherwise.
                             spin.observe(&code, thread, false, *budget, hook)?;
                         }
                         break;
@@ -505,6 +518,9 @@ fn run_cta<H: ExecHook, C: Capture>(
                     }
                 }
                 spin.observe(&code, thread, ctx.accesses.has_store(), *budget, hook)?;
+            }
+            if flip.is_some() {
+                std::mem::swap(&mut spin, &mut own);
             }
         }
         if all_done {
@@ -632,7 +648,7 @@ const SPIN_ARM_STEPS: u64 = 1 << 10;
 const SPIN_PATH_CAP: usize = 1 << 10;
 
 /// Detects provably ending loops of a thread that has the machine to
-/// itself.
+/// itself, or whose CTA siblings provably cannot change how it ends.
 ///
 /// Under the serial schedule a thread's quantum has exclusive access to
 /// global, shared and local memory — nothing else runs until it blocks. A
@@ -659,6 +675,26 @@ const SPIN_PATH_CAP: usize = 1 << 10;
 ///   the first out-of-bounds access ([`SimFault::InvalidAccess`]) or
 ///   budget exhaustion, whichever comes first. Exact recurrence is the
 ///   D = ∅, store-free case.
+///
+/// **The live-sibling rule.** The thread the hook names a flip for
+/// ([`ExecHook::flip_at`]) has a detector of its own. While a sibling is
+/// live and the hook answers [`ExecHook::siblings_follow_golden`], that
+/// detector also persists across the thread's barriers, so it can record
+/// an iteration that spans the siblings' quanta. Such an iteration is no
+/// longer exclusive, and its verdict ends the run only if it is
+/// [`SimFault::BudgetExceeded`], the iteration stores no shared word and
+/// the hook still answers `true` when asked again. Then every sibling
+/// retires its golden instruction stream at golden addresses (the hook's
+/// promise): it cannot fault, trap or end the run, only spend budget. The
+/// watched thread's guards and addresses read no memory either, so the
+/// certificate holds whatever the siblings store, and with no shared store
+/// in its loop it cannot reach the parameter block the siblings steer by.
+/// Spending budget alongside only brings exhaustion closer, so the run
+/// ends in [`SimFault::BudgetExceeded`] as the full run does. An
+/// [`SimFault::InvalidAccess`] verdict is refused: whether the walk gets
+/// there before the budget runs out depends on what the siblings spend.
+/// After a refusal the thread falls back to a detector per quantum, and
+/// to the lone rule once its siblings have exited.
 ///
 /// `icnt` is deliberately excluded from the comparison: it increments every
 /// retirement but only feeds hook events, never execution semantics, and a
@@ -692,6 +728,16 @@ struct SpinDetector {
     /// Affine mode, and the watched thread was its CTA's last live thread
     /// when the detector started: it persists across barriers.
     lone: bool,
+    /// Affine mode, the watched thread carries the flip, and a sibling is
+    /// live that the hook says follows its golden path: the detector
+    /// persists across barriers under the live-sibling rule.
+    live: bool,
+    /// Another thread may have run since the current snapshot was taken:
+    /// its verdict must pass the live-sibling rule.
+    crossed: bool,
+    /// The live-sibling rule refused a verdict of the watched thread: it
+    /// keeps a detector per quantum until it is lone.
+    refused: bool,
     /// `(pc, icnt)` after each step since the snapshot, recorded in affine
     /// mode up to the first revisit of the snapshot `pc` — one iteration.
     path: Vec<(usize, u32)>,
@@ -717,6 +763,9 @@ impl SpinDetector {
             snap: None,
             owner: usize::MAX,
             lone: false,
+            live: false,
+            crossed: false,
+            refused: false,
             path: Vec::new(),
             recording: false,
         }
@@ -724,14 +773,35 @@ impl SpinDetector {
 
     /// Starts watching a quantum of thread `owner`, which has retired
     /// `icnt` instructions; `lone` says whether every other thread of its
-    /// CTA is done, and `flip` is the retirement ordinal of the fault the
-    /// thread carries, if the hook names one. An affine-mode detector
-    /// already watching that lone thread carries on; any other start
-    /// resets it.
+    /// CTA is done, `flip` is the retirement ordinal of the fault the
+    /// thread carries, if the hook names one, and `follow` whether the
+    /// hook says its live siblings follow their golden paths. An
+    /// affine-mode detector already watching that thread carries on if it
+    /// was lone, or if it was live and the thread is now lone or still
+    /// followed; any other start resets it.
     #[inline]
-    fn enter(&mut self, owner: usize, icnt: u32, lone: bool, affine: bool, flip: Option<u32>) {
-        if self.lone && self.owner == owner {
-            return;
+    fn enter(
+        &mut self,
+        owner: usize,
+        icnt: u32,
+        lone: bool,
+        affine: bool,
+        flip: Option<u32>,
+        follow: bool,
+    ) {
+        if self.owner == owner {
+            if self.lone {
+                return;
+            }
+            if self.live && (lone || follow) {
+                // The siblings ran since the thread's last quantum.
+                self.crossed = true;
+                self.lone = lone;
+                self.live = !lone;
+                return;
+            }
+        } else {
+            self.refused = false;
         }
         self.steps = 0;
         self.flip = flip;
@@ -745,6 +815,8 @@ impl SpinDetector {
         self.recording = false;
         self.owner = owner;
         self.lone = affine && lone;
+        self.live = affine && follow && !lone && !self.refused;
+        self.crossed = false;
     }
 
     /// Observes one retired (non-terminal) step of the watched thread;
@@ -768,12 +840,51 @@ impl SpinDetector {
         if self.steps >= self.next_snap {
             self.arm(thread, H::PREDICT_HANGS);
         } else if self.clean || self.recording {
-            return self.revisit(code, thread, budget).map_or(Ok(()), |fault| {
-                hook.on_fault_predicted(fault);
-                Err(fault)
-            });
+            if let Some(fault) = self.revisit(code, thread, budget) {
+                return self.conclude(code, fault, hook);
+            }
         }
         Ok(())
+    }
+
+    /// Ends the run on a proved `fault`, unless the proof spans other
+    /// threads' quanta and the live-sibling rule refuses it.
+    #[inline(never)]
+    fn conclude<H: ExecHook>(
+        &mut self,
+        code: &LoopCode<'_>,
+        fault: SimFault,
+        hook: &mut H,
+    ) -> Result<(), SimFault> {
+        if self.crossed
+            && !(fault == SimFault::BudgetExceeded
+                && !self.stores_shared(code)
+                && hook.siblings_follow_golden())
+        {
+            // Start afresh from the next step, as a detector per quantum
+            // or a new lone one would.
+            self.live = false;
+            self.refused = true;
+            self.steps = 0;
+            self.next_snap = 1;
+            self.recording = false;
+            return Ok(());
+        }
+        hook.on_fault_predicted(fault, self.crossed);
+        Err(fault)
+    }
+
+    /// Whether the iteration since the snapshot stored to shared memory. A
+    /// store-free one was proved clean; any other was proved on its
+    /// recorded path.
+    fn stores_shared(&self, code: &LoopCode<'_>) -> bool {
+        !self.clean
+            && self.path.windows(2).filter(|w| w[1].1 != w[0].1).any(|w| {
+                code.ops[w[0].0]
+                    .dsts
+                    .iter()
+                    .any(|d| matches!(d, Dst::Mem(a) if a.space == MemSpace::Shared))
+            })
     }
 
     /// Takes the scheduled snapshot, or, while the watched thread has not
@@ -807,6 +918,7 @@ impl SpinDetector {
             None => self.snap = Some(Box::new(snap)),
         }
         self.clean = true;
+        self.crossed = false;
         self.recording = affine;
         self.path.clear();
         if affine {
@@ -1389,6 +1501,8 @@ mod tests {
     struct PredictingHook {
         retired: u64,
         predicted: u32,
+        /// Predictions admitted by the live-sibling rule.
+        live: u32,
         fault: Option<SimFault>,
     }
 
@@ -1399,8 +1513,9 @@ mod tests {
             self.retired += 1;
         }
 
-        fn on_fault_predicted(&mut self, fault: SimFault) {
+        fn on_fault_predicted(&mut self, fault: SimFault, live: bool) {
             self.predicted += 1;
+            self.live += u32::from(live);
             self.fault = Some(fault);
         }
     }
@@ -1541,10 +1656,14 @@ mod tests {
     }
 
     /// A hook that names a flip at thread 0's first retirement, counts how
-    /// often the loop asks for it, and opts into prediction when `P`.
+    /// often the loop asks for it and whether the siblings follow their
+    /// golden paths (answering `follow`), and opts into prediction when
+    /// `P`.
     #[derive(Default)]
     struct FlipHook<const P: bool> {
         asked: std::cell::Cell<u32>,
+        follow: bool,
+        asked_follow: std::cell::Cell<u32>,
         inner: PredictingHook,
     }
 
@@ -1556,12 +1675,17 @@ mod tests {
             (tid == 0).then_some(0)
         }
 
+        fn siblings_follow_golden(&self) -> bool {
+            self.asked_follow.set(self.asked_follow.get() + 1);
+            self.follow
+        }
+
         fn on_retire(&mut self, ev: crate::hook::RetireEvent<'_>) {
             self.inner.on_retire(ev);
         }
 
-        fn on_fault_predicted(&mut self, fault: SimFault) {
-            self.inner.on_fault_predicted(fault);
+        fn on_fault_predicted(&mut self, fault: SimFault, live: bool) {
+            self.inner.on_fault_predicted(fault, live);
         }
     }
 
@@ -1613,6 +1737,70 @@ mod tests {
         assert_eq!(err, SimFault::BudgetExceeded);
         assert_eq!(quiet.asked.get(), 0, "a non-predicting hook is asked");
         assert_eq!(quiet.inner.retired, 20_000);
+    }
+
+    #[test]
+    fn sibling_query_is_asked_only_for_the_flipped_thread_and_is_forwarded() {
+        // Both threads count away from their exit through a barrier per
+        // iteration, so neither is ever alone; thread 0 carries the flip.
+        let p = assemble(
+            "t",
+            r#"
+            mov.u32 $r2, 0x11
+            loop:
+            add.u32 $r2, $r2, 0x1
+            bar.sync 0x0
+            set.ne.u32.u32 $p1/$o127, $r2, 0x10
+            @$p1.ne bra loop
+            exit
+            "#,
+        )
+        .unwrap();
+        let launch = Launch::new(p).block(2, 1, 1).instr_budget(200_000);
+        let mut global = MemBlock::with_words(1);
+        // Through `&mut H`: the answer `true` lets thread 0's detector span
+        // the barriers thread 1 takes part in, and the hang is certified
+        // under the live-sibling rule within the first iterations.
+        let mut follow = FlipHook::<true> {
+            follow: true,
+            ..FlipHook::default()
+        };
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut &mut follow)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert!(follow.asked_follow.get() > 0, "the query is forwarded");
+        assert_eq!((follow.inner.predicted, follow.inner.live), (1, 1));
+        assert!(
+            follow.inner.retired < 64,
+            "retired {}",
+            follow.inner.retired
+        );
+        // Answering `false` (the default) keeps the detector to a quantum:
+        // the run spends its whole budget.
+        let mut refuse = FlipHook::<true>::default();
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut &mut refuse)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert!(refuse.asked_follow.get() > 0);
+        assert_eq!(refuse.inner.predicted, 0);
+        assert_eq!(refuse.inner.retired, 200_000);
+        // A hook that does not predict is never asked.
+        let mut quiet = FlipHook::<false> {
+            follow: true,
+            ..FlipHook::default()
+        };
+        let err = Simulator::new()
+            .run(&launch, &mut global, &mut &mut quiet)
+            .unwrap_err();
+        assert_eq!(err, SimFault::BudgetExceeded);
+        assert_eq!(
+            quiet.asked_follow.get(),
+            0,
+            "a non-predicting hook is asked"
+        );
+        assert_eq!(quiet.inner.retired, 200_000);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! path never applies that rule: it runs every such loop out, to budget
 //! exhaustion or to the faulting access. A prediction is only allowed where
 //! it is exact, so the two paths must agree byte for byte on every outcome.
+//! In a data-oblivious kernel a hang may be certified while the faulty
+//! thread's CTA siblings still run (the live-sibling rule); the kernels
+//! below whose siblings read what the faulty thread stores must never be.
 
 use std::sync::Arc;
 
@@ -20,8 +23,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The hang-dominated kernels: a flipped loop counter in pathfinder's
-/// `tloop` or lud_k46's `iloop` leaves one thread circling alone.
-const HANG_BOUND: [&str; 2] = ["pathfinder", "lud_k46"];
+/// `tloop` or lud_k46's `iloop` leaves one thread circling. With each: the
+/// hangs per pass of its paper-default plan, and those of them a single
+/// injection (`run_one`) certifies while a CTA sibling of the faulty
+/// thread is live. The rest change their loop path only after the
+/// siblings have exited — a guard compare against the flipped counter
+/// flips a few iterations on, or the flip lands in the last iteration —
+/// and are certified by the lone rule.
+const HANG_BOUND: [(&str, usize, u64); 2] = [("pathfinder", 1050, 885), ("lud_k46", 847, 720)];
 
 /// Kernels of the pruned benchmark mix whose flipped loop counters walk
 /// pointers off the end of memory.
@@ -119,14 +128,20 @@ fn exhaustive_barrier_countdown_matches_the_slow_path() {
         }
     }
     assert!(fast.hangs_predicted() > before, "no hang was predicted");
+    assert!(
+        fast.hangs_predicted_live() > 0,
+        "no hang was certified live"
+    );
 }
 
 /// The paper-default pruned plans of both hang-bound kernels classify
-/// identically with and without prediction, and prediction engages on
-/// both.
+/// identically with and without prediction, prediction engages on both,
+/// and every hang site of the plan, injected alone, is a certified hang —
+/// most of them certified while the faulty thread's siblings still run
+/// and counted in a series labelled by registry id.
 #[test]
 fn pruned_plans_of_hang_bound_kernels_match_the_slow_path() {
-    for id in HANG_BOUND {
+    for (id, plan_hangs, live_hangs) in HANG_BOUND {
         let w = workloads::by_id(id, Scale::Eval).expect("registry kernel");
         let fast = Experiment::prepare(&w).expect("fault-free run");
         let slow = Experiment::prepare(&w)
@@ -142,8 +157,22 @@ fn pruned_plans_of_hang_bound_kernels_match_the_slow_path() {
         assert_eq!(f.outcomes, s.outcomes, "{id}: fast/slow outcomes diverged");
         assert_eq!(f.profile, s.profile, "{id}: profiles diverged");
         let hangs = s.outcomes.iter().filter(|&&o| o == HANG).count();
-        assert!(hangs > 0, "{id}: the plan should contain hangs");
+        assert_eq!(hangs, plan_hangs, "{id}: hangs in the plan");
         assert!(predicted > 0, "{id}: no hang of {hangs} was predicted");
+        let (before, live) = (fast.hangs_predicted(), fast.hangs_predicted_live());
+        let series = "fsp_inject_hang_predicted_live_total";
+        let live_labelled = labelled(series, id);
+        for (site, _) in plan
+            .sites
+            .iter()
+            .zip(&s.outcomes)
+            .filter(|(_, &o)| o == HANG)
+        {
+            assert_eq!(fast.run_one(site.site), HANG, "{id}: {:?}", site.site);
+        }
+        assert_eq!(fast.hangs_predicted() - before, hangs as u64, "{id}");
+        assert_eq!(fast.hangs_predicted_live() - live, live_hangs, "{id}");
+        assert_eq!(labelled(series, id) - live_labelled, live_hangs, "{id}");
     }
 }
 
@@ -173,6 +202,85 @@ fn sampled_sites_on_all_kernels_and_models_match_the_slow_path() {
             );
             assert_eq!(f.profile, s.profile, "{id}: profiles diverged");
         }
+    }
+}
+
+/// A CTA of eight threads loops twelve times through a barrier, each
+/// publishing its counter to its own global word. After the loop, each
+/// thread reads its neighbour's counter and stores out of bounds if it is
+/// past the trip count: a loaded value steers a guard, so the kernel is
+/// not data-oblivious. A flipped counter hangs its thread and crashes its
+/// neighbour once the neighbour's loop ends, so no hang may be certified
+/// while the neighbour still runs.
+const NEIGHBOUR_CHECK: &str = r#"
+    cvt.u32.u16 $r1, %tid.x
+    shl.u32 $r3, $r1, 0x2
+    add.u32 $r4, $r3, s[0x0010]
+    add.u32 $r7, $r1, 0x1
+    set.eq.u32.u32 $p2/$o127, $r7, 0x8
+    @$p2.ne mov.u32 $r7, $r124
+    shl.u32 $r7, $r7, 0x2
+    add.u32 $r7, $r7, s[0x0010]
+    mov.u32 $r11, 0xfffffff0
+    mov.u32 $r2, $r124
+    loop:
+    st.global.u32 [$r4], $r2
+    bar.sync 0x0
+    add.u32 $r2, $r2, 0x1
+    set.ne.u32.u32 $p0/$o127, $r2, 0xc
+    @$p0.ne bra loop
+    ld.global.u32 $r8, [$r7]
+    set.gt.u32.u32 $p3/$o127, $r8, 0xc
+    @$p3.ne st.global.u32 [$r11], $r8
+    exit
+    "#;
+
+/// The same loop, data-oblivious, but a counter that meets 0x14 — which
+/// no fault-free counter reaches — stores an invalid address into the
+/// first parameter, and every thread adds that parameter to its output
+/// address on exit. A counter flipped to just below 0x14 hangs its thread
+/// and, a few iterations on, clobbers the parameter its siblings exit
+/// through, so no hang may be certified live after that store.
+const PARAM_CLOBBER: &str = r#"
+    cvt.u32.u16 $r1, %tid.x
+    shl.u32 $r3, $r1, 0x2
+    mov.u32 $r11, 0xfffffff0
+    mov.u32 $r2, $r124
+    loop:
+    set.eq.u32.u32 $p1/$o127, $r2, 0x14
+    @$p1.ne mov.u32 s[0x0010], $r11
+    bar.sync 0x0
+    add.u32 $r2, $r2, 0x1
+    set.ne.u32.u32 $p0/$o127, $r2, 0xc
+    @$p0.ne bra loop
+    add.u32 $r10, $r3, s[0x0010]
+    st.global.u32 [$r10], $r2
+    exit
+    "#;
+
+/// Both kernels above: every site under every fault model matches the
+/// slow path, and hangs and crashes are there to match. The neighbour
+/// check is never certified live; the parameter clobber is, before the
+/// clobber and wherever its counter never meets 0x14.
+#[test]
+fn siblings_that_read_the_faulty_thread_keep_their_crashes() {
+    for (name, source, oblivious) in [
+        ("neighbour_check", NEIGHBOUR_CHECK, false),
+        ("param_clobber", PARAM_CLOBBER, true),
+    ] {
+        let kernel = Synthetic::new(name, source, 8, 64, (0, 8));
+        let live = Experiment::prepare(&kernel)
+            .expect("fault-free run")
+            .hangs_predicted_live();
+        let (outcomes, _, hangs) = kernel.check_exhaustively();
+        assert!(count(&outcomes, HANG) > 10, "{name}: {outcomes:?}");
+        assert!(count(&outcomes, CRASH) > 0, "{name}: no sibling crashed");
+        assert!(hangs > 0, "{name}: no hang was predicted");
+        let live = Experiment::prepare(&kernel)
+            .expect("fault-free run")
+            .hangs_predicted_live()
+            - live;
+        assert_eq!(live > 0, oblivious, "{name}: {live} hangs certified live");
     }
 }
 
@@ -418,15 +526,20 @@ fn walk_faulting_on_the_last_budgeted_step_is_exact() {
     );
 }
 
-/// Runs of the kernel `kernel` the fast path predicted to crash, read from
-/// the process-wide registry, where they are labelled by registry id.
-fn crashes_labelled(kernel: &str) -> u64 {
-    let prefix = format!("fsp_inject_crash_predicted_total{{kernel=\"{kernel}\"}} ");
+/// The count of `series` for the kernel `kernel`, read from the
+/// process-wide registry, where it is labelled by registry id.
+fn labelled(series: &str, kernel: &str) -> u64 {
+    let prefix = format!("{series}{{kernel=\"{kernel}\"}} ");
     fsp_obs::registry()
         .render()
         .lines()
         .filter_map(|line| line.strip_prefix(&prefix)?.parse::<u64>().ok())
         .sum()
+}
+
+/// Runs of the kernel `kernel` the fast path predicted to crash.
+fn crashes_labelled(kernel: &str) -> u64 {
+    labelled("fsp_inject_crash_predicted_total", kernel)
 }
 
 /// The paper-default pruned plans of lud_k44 and kmeans_k2 classify
